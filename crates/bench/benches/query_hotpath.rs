@@ -1,30 +1,29 @@
-//! **Query hot-path bench** — PR 1 measured the three original
-//! optimizations (interpretation cache, dense TA, parallel scoring;
-//! recorded in `BENCH_pr1.json`); PR 3 adds the **mixed-WHERE**
-//! scenario: the paper's running-example shape
+//! **Query hot-path bench** — the three original optimizations
+//! (interpretation cache, dense TA, parallel scoring), then the
+//! **mixed-WHERE** scenario: the paper's running-example shape
 //! `price_pn < τ and "clean rooms"` at three objective selectivities
-//! (selective / ~50% / non-selective), with the objective-predicate
-//! pushdown into the TA fast path toggled on and off, plus the
-//! quantized (`u16`) degree-column ablation. Recorded in
-//! `BENCH_pr3.json`.
+//! (selective / ~50% / non-selective), through the objective-predicate
+//! pushdown into the TA fast path and through the `RowAtATime`
+//! reference plan.
 //!
-//! PR 5 adds the **Block-Max-WAND retrieval** scenario: the cold
+//! The **Block-Max-WAND retrieval** scenario times the cold
 //! interpretation path's BM25 top-k over the review-heavy corpus's
 //! index, WAND vs the exhaustive posting traversal, asserted ≥ 5x with
-//! bit-identical answers and recorded in `BENCH_pr5.json`.
+//! bit-identical answers.
 //!
-//! PR 7 adds the **tracing ablation**: the warm repeated query with
-//! tracing disarmed (every span site costs one relaxed atomic load)
-//! must stay within 2% of the same-run warm baseline, and the armed
-//! cost (a `TraceContext` collecting the full span tree) is recorded
-//! alongside in `BENCH_pr7.json`.
+//! The **tracing ablation**: the warm repeated query with tracing
+//! disarmed (every span site costs one relaxed atomic load) must stay
+//! within 2% of the same-run warm baseline; the armed cost (a
+//! `TraceContext` collecting the full span tree) is printed alongside.
 //!
-//! PR 10 adds the **live-ingest** scenario: warm reads while a writer
-//! thread streams `INSERT` batches through the delta segment (and its
+//! The **live-ingest** scenario: warm reads while a writer thread
+//! streams `INSERT` batches through the delta segment (and its
 //! threshold merges). Readers pin one snapshot epoch per query and
 //! never take the writer lock, so the warm-read latency floor must
-//! stay within 1.2x of the read-only baseline; recorded in
-//! `BENCH_pr10.json`.
+//! stay within 1.2x of the read-only baseline.
+//!
+//! Every number is printed, none is written to disk: the repo's
+//! benchmark record is the `benchmark/` harness.
 //!
 //! In smoke mode (`cargo test --benches`, no `--bench` flag) the heavy
 //! measurement loops are skipped, but small-corpus guards still run: a
@@ -43,7 +42,7 @@ use opine_corpus::hotel::hotel_spec;
 use opine_corpus::{Corpus, CorpusConfig};
 use opine_embed::Word2VecConfig;
 use opine_ir::{Bm25Params, InvertedIndex};
-use opine_store::ReviewQualifier;
+use opine_store::{execute, parse_select, ResultSet, ReviewQualifier, RowAtATime};
 use opine_text::WordId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -224,6 +223,21 @@ fn warm_latency(db: &OpineDb, sql: &str, iters: usize) -> f64 {
     })
 }
 
+/// `sql` through the row-at-a-time reference plan: no TA ranking, no
+/// objective pushdown (the pushdown ablation baseline).
+fn reference_plan(db: &OpineDb, sql: &str) -> ResultSet {
+    let select = parse_select(sql).expect("valid sql");
+    execute(&select, db.catalog(), &RowAtATime(db)).expect("reference query runs")
+}
+
+/// [`warm_latency`] of the row-at-a-time reference plan.
+fn warm_reference_latency(db: &OpineDb, sql: &str, iters: usize) -> f64 {
+    reference_plan(db, sql);
+    measure(iters, || {
+        black_box(reference_plan(db, sql));
+    })
+}
+
 /// Warm minimum single-iteration latency of `sql` on `db` (caches
 /// primed by a first run). The floor — not the mean — is the right
 /// statistic when a concurrent writer shares this container's single
@@ -244,8 +258,9 @@ fn latency_floor(db: &OpineDb, sql: &str, iters: usize) -> f64 {
 
 /// Smoke-mode guard: on a small corpus, the paper's running-example
 /// shape must take the pushdown TA path (counter > 0) and agree with
-/// the pushdown-disabled reference. Panics — failing `cargo test
-/// --benches` and the CI smoke job — if the pushdown never fires.
+/// the `RowAtATime` reference plan, which must not take it. Panics —
+/// failing `cargo test --benches` and the CI smoke job — if the
+/// pushdown never fires.
 fn pushdown_smoke_guard() {
     let db = mixed_db(48);
     let prices = sorted_prices(&db);
@@ -257,15 +272,18 @@ fn pushdown_smoke_guard() {
         report.pushdown_queries > 0,
         "mixed-WHERE smoke query never took the pushdown TA path: {report:?}"
     );
-    db.set_objective_pushdown(false);
-    let slow = db.query(&sql).expect("reference query runs");
-    db.set_objective_pushdown(true);
+    let slow = reference_plan(&db, &sql);
+    assert_eq!(
+        db.cache_report().pushdown_queries,
+        report.pushdown_queries,
+        "the reference plan must not take the pushdown path"
+    );
     assert_eq!(
         fast.result.rows.len(),
-        slow.result.rows.len(),
+        slow.rows.len(),
         "pushdown and row-at-a-time answers must agree"
     );
-    for (a, b) in fast.result.rows.iter().zip(&slow.result.rows) {
+    for (a, b) in fast.result.rows.iter().zip(&slow.rows) {
         assert_eq!(a.0, b.0, "same rows in the same order");
         assert_eq!(a.1.to_bits(), b.1.to_bits(), "bit-identical scores");
     }
@@ -491,9 +509,9 @@ fn bench(c: &mut Criterion) {
     banner("PR 1: query hot path — interpretation cache, dense TA, parallel scoring");
 
     // Smoke invocation (`cargo test --benches` passes no `--bench`
-    // flag): skip the manual measurement loops, the big db build, and
-    // the BENCH_pr1.json overwrite — criterion itself also runs each
-    // registered benchmark once, so shrink the fixture too.
+    // flag): skip the manual measurement loops and the big db build —
+    // criterion itself also runs each registered benchmark once, so
+    // shrink the fixture too.
     let measuring = std::env::args().any(|a| a == "--bench");
 
     // ---- layer 2: seed TA vs dense TA at 10k entities / 3 predicates ----
@@ -693,16 +711,6 @@ fn bench(c: &mut Criterion) {
         "armed warm query must produce a non-empty span tree"
     );
 
-    let pr7_json = format!(
-        "{{\n  \"bench\": \"query_hotpath/trace_ablation\",\n  \"config\": {{\n    \"entities\": {DB_ENTITIES},\n    \"rounds\": 15,\n    \"iters_per_round\": 400,\n    \"workers\": {workers}\n  }},\n  \"seconds\": {{\n    \"query_warm_baseline\": {t_baseline:.9},\n    \"query_warm_disarmed\": {t_disarmed:.9},\n    \"query_warm_armed\": {t_armed:.9},\n    \"disarmed_span_site\": {t_site:.12}\n  }},\n  \"ratios\": {{\n    \"disarmed_vs_baseline\": {disarmed_ratio:.4},\n    \"armed_vs_baseline\": {armed_ratio:.4},\n    \"disarmed_probe_overhead_vs_baseline\": {:.6}\n  }},\n  \"trace_sample\": {{\n    \"stages_active\": {},\n    \"total_us\": {}\n  }}\n}}\n",
-        overhead / t_baseline,
-        sample.stages.len(),
-        sample.total_us,
-    );
-    let pr7_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr7.json");
-    std::fs::write(pr7_out, &pr7_json).expect("write BENCH_pr7.json");
-    println!("wrote {pr7_out}");
-
     // ---- PR 3: mixed WHERE (objective pushdown into the TA path) ----
     let mixed_entities = std::env::var("OPINE_BENCH_MIXED_ENTITIES")
         .ok()
@@ -769,16 +777,14 @@ fn bench(c: &mut Criterion) {
             t_push[i] = t_push[i].min(warm_latency(&mdb, &mixed_sql(*threshold), 150));
         }
     }
-    // Same min-of-rounds protocol for the row-at-a-time baseline, so
-    // the recorded speedups compare like with like.
+    // Same min-of-rounds protocol for the row-at-a-time reference plan,
+    // so the printed speedups compare like with like.
     let mut t_row = [f64::INFINITY; 3];
-    mdb.set_objective_pushdown(false);
     for _round in 0..3 {
         for (i, (_, threshold)) in scenarios.iter().enumerate() {
-            t_row[i] = t_row[i].min(warm_latency(&mdb, &mixed_sql(*threshold), 20));
+            t_row[i] = t_row[i].min(warm_reference_latency(&mdb, &mixed_sql(*threshold), 20));
         }
     }
-    mdb.set_objective_pushdown(true);
     let results: Vec<(&str, f64, f64, f64)> = scenarios
         .iter()
         .enumerate()
@@ -814,23 +820,6 @@ fn bench(c: &mut Criterion) {
     assert!(
         t_selective_push < t_selective_row,
         "pushdown must beat row-at-a-time residual scoring"
-    );
-
-    // Quantized degree columns (u16 + exact frontier rescoring): memory
-    // cut and warm-latency cost.
-    let exact_bytes = report.column_bytes;
-    mdb.set_quantized_columns(true);
-    let t_pure_quant = warm_latency(&mdb, PURE_QUERY, 100);
-    let t_selective_quant = warm_latency(&mdb, &mixed_sql(results[0].1), 100);
-    let quant_bytes = mdb.cache_report().column_bytes;
-    mdb.set_quantized_columns(false);
-    println!(
-        "quantized columns: {} -> {} bytes ({:.1}x cut); pure {:>9.1} µs, selective {:>9.1} µs",
-        exact_bytes,
-        quant_bytes,
-        exact_bytes as f64 / quant_bytes.max(1) as f64,
-        t_pure_quant * 1e6,
-        t_selective_quant * 1e6,
     );
 
     // ---- PR 4: review-qualified summaries (bucket merge vs rebuild) ----
@@ -919,34 +908,6 @@ fn bench(c: &mut Criterion) {
         qreport.filtered_summary_queries > 0,
         "qualified SQL path must fire"
     );
-
-    let pr4_json = format!(
-        "{{\n  \"bench\": \"query_hotpath/review_qualified\",\n  \"config\": {{\n    \"entities\": {qualified_entities},\n    \"mean_reviews\": {QUALIFIED_REVIEWS},\n    \"limit\": {MIXED_K},\n    \"workers\": {workers},\n    \"qualifier\": \"{QUALIFIER}\"\n  }},\n  \"seconds\": {{\n    \"rebuild_raw_rescan\": {t_rebuild:.9},\n    \"bucket_merge_cold\": {t_merge:.9},\n    \"filtered_cache_warm\": {t_filter_warm:.9},\n    \"qualified_sql_cold\": {t_qualified_cold_sql:.9},\n    \"qualified_sql_warm\": {t_qualified_warm_sql:.9},\n    \"unqualified_sql_warm\": {t_unqualified_sql:.9}\n  }},\n  \"speedups\": {{\n    \"bucket_merge_vs_rebuild\": {rebuild_speedup:.2},\n    \"warm_cache_vs_rebuild\": {warm_speedup:.2}\n  }},\n  \"counters\": {{\n    \"filtered_summary_queries\": {},\n    \"filtered_summary_cache\": {{\"hits\": {}, \"misses\": {}}},\n    \"bit_identical_to_rebuild\": true\n  }}\n}}\n",
-        qreport.filtered_summary_queries,
-        qreport.filtered_summaries.hits,
-        qreport.filtered_summaries.misses,
-    );
-    let pr4_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr4.json");
-    std::fs::write(pr4_out, &pr4_json).expect("write BENCH_pr4.json");
-    println!("wrote {pr4_out}");
-
-    let pr3_json = format!(
-        "{{\n  \"bench\": \"query_hotpath/mixed_where\",\n  \"config\": {{\n    \"entities\": {mixed_entities},\n    \"limit\": {MIXED_K},\n    \"workers\": {workers}\n  }},\n  \"seconds\": {{\n    \"objective_scan\": {t_bitmap_scan:.9},\n    \"pure_subjective_warm\": {t_pure:.9},\n    \"selective_5pct_pushdown\": {:.9},\n    \"selective_5pct_row_at_a_time\": {:.9},\n    \"half_50pct_pushdown\": {:.9},\n    \"half_50pct_row_at_a_time\": {:.9},\n    \"non_selective_pushdown\": {:.9},\n    \"non_selective_row_at_a_time\": {:.9},\n    \"pure_subjective_quantized\": {t_pure_quant:.9},\n    \"selective_5pct_quantized\": {t_selective_quant:.9}\n  }},\n  \"speedups\": {{\n    \"selective_pushdown_vs_row_at_a_time\": {:.2},\n    \"selective_pushdown_vs_pure_subjective\": {:.2},\n    \"half_pushdown_vs_row_at_a_time\": {:.2}\n  }},\n  \"counters\": {{\n    \"ta_queries\": {},\n    \"pushdown_queries\": {},\n    \"degree_column_bytes_exact\": {exact_bytes},\n    \"degree_column_bytes_quantized\": {quant_bytes}\n  }}\n}}\n",
-        results[0].2,
-        results[0].3,
-        results[1].2,
-        results[1].3,
-        results[2].2,
-        results[2].3,
-        t_selective_row / t_selective_push,
-        t_pure / t_selective_push,
-        results[1].3 / results[1].2,
-        report.ta_queries,
-        report.pushdown_queries,
-    );
-    let pr3_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr3.json");
-    std::fs::write(pr3_out, &pr3_json).expect("write BENCH_pr3.json");
-    println!("wrote {pr3_out}");
 
     // ---- PR 5: Block-Max WAND retrieval on the cold interpretation path ----
     // The review-heavy corpus above doubles as the retrieval corpus
@@ -1057,17 +1018,6 @@ fn bench(c: &mut Criterion) {
         t_wand_k160 * 1e6,
     );
 
-    let pr5_json = format!(
-        "{{\n  \"bench\": \"query_hotpath/wand_retrieval\",\n  \"config\": {{\n    \"reviews\": {},\n    \"entities\": {qualified_entities},\n    \"predicates\": {},\n    \"workers\": {workers}\n  }},\n  \"seconds\": {{\n    \"retrieval_top10_exhaustive\": {t_exh_k10:.9},\n    \"retrieval_top10_wand\": {t_wand_k10:.9},\n    \"retrieval_top160_exhaustive\": {t_exh_k160:.9},\n    \"retrieval_top160_wand\": {t_wand_k160:.9},\n    \"cooccur_stage_cold_exhaustive\": {t_cooccur_exh:.9},\n    \"cooccur_stage_cold_wand\": {t_cooccur_wand:.9}\n  }},\n  \"speedups\": {{\n    \"retrieval_top10\": {speedup_k10:.2},\n    \"retrieval_top160\": {speedup_k160:.2},\n    \"cooccur_stage_cold\": {speedup_cooccur:.2}\n  }},\n  \"counters\": {{\n    \"wand_queries\": {},\n    \"blocks_skipped\": {},\n    \"bit_identical_to_exhaustive\": true\n  }}\n}}\n",
-        rindex.num_docs(),
-        wand_preds.len(),
-        rstats.wand_queries,
-        rstats.blocks_skipped,
-    );
-    let pr5_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr5.json");
-    std::fs::write(pr5_out, &pr5_json).expect("write BENCH_pr5.json");
-    println!("wrote {pr5_out}");
-
     // ---- PR 10: live ingest — warm reads while a writer streams inserts ----
     // A writer thread feeds paced 25-row `INSERT` batches into the
     // 10k-entity mixed db (crossing the default merge threshold every
@@ -1177,25 +1127,6 @@ fn bench(c: &mut Criterion) {
         t_ingest_floor * 1e6,
         baseline_floor * 1e6,
     );
-
-    let pr10_json = format!(
-        "{{\n  \"bench\": \"query_hotpath/live_ingest\",\n  \"config\": {{\n    \"entities\": {mixed_entities},\n    \"rows_per_batch\": {INGEST_BATCH},\n    \"batches_streamed\": {batches_written},\n    \"workers\": {workers}\n  }},\n  \"seconds\": {{\n    \"warm_floor_read_only\": {t_read_only_floor:.9},\n    \"warm_mean_read_only\": {t_read_only_mean:.9},\n    \"warm_floor_ingesting\": {t_ingest_floor:.9},\n    \"warm_mean_ingesting\": {t_ingest_mean:.9},\n    \"warm_floor_quiesced\": {t_quiesced_floor:.9}\n  }},\n  \"ratios\": {{\n    \"ingesting_floor_vs_read_only_floor\": {ingest_ratio:.4}\n  }},\n  \"counters\": {{\n    \"rows_streamed\": {},\n    \"delta_merges\": {},\n    \"failed_merges\": {},\n    \"epochs_published\": {}\n  }}\n}}\n",
-        batches_written * INGEST_BATCH,
-        ingest_report.delta_merges - merges_before,
-        ingest_report.failed_merges,
-        mdb.ingest_epoch() - epoch_before,
-    );
-    let pr10_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr10.json");
-    std::fs::write(pr10_out, &pr10_json).expect("write BENCH_pr10.json");
-    println!("wrote {pr10_out}");
-
-    // ---- record for the PR ----
-    let json = format!(
-        "{{\n  \"bench\": \"query_hotpath\",\n  \"config\": {{\n    \"topk_entities\": {TOPK_ENTITIES},\n    \"topk_predicates\": {TOPK_PREDICATES},\n    \"topk_k\": {TOPK_K},\n    \"db_entities\": {DB_ENTITIES},\n    \"workers\": {workers}\n  }},\n  \"seconds\": {{\n    \"topk_seed\": {t_seed:.9},\n    \"topk_dense\": {t_dense:.9},\n    \"topk_full_scan\": {t_scan:.9},\n    \"query_cold\": {t_cold:.9},\n    \"query_warm\": {t_warm:.9},\n    \"degree_column_serial\": {t_col_serial:.9},\n    \"degree_column_parallel\": {t_col_parallel:.9}\n  }},\n  \"speedups\": {{\n    \"topk_dense_vs_seed\": {topk_speedup:.2},\n    \"repeated_predicate_warm_vs_cold\": {interp_speedup:.2},\n    \"degree_column_parallel_vs_serial\": {parallel_speedup:.2}\n  }}\n}}\n"
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr1.json");
-    std::fs::write(out, &json).expect("write BENCH_pr1.json");
-    println!("wrote {out}");
 
     // ---- criterion samples of the same operations ----
     let mut group = c.benchmark_group("query_hotpath");

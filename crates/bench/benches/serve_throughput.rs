@@ -15,8 +15,8 @@
 //!    taxonomy 503s while the p99 of *admitted* requests stays within
 //!    5× of its uncontended value.
 //!
-//! The measured numbers are written to `BENCH_pr2.json` (throughput) and
-//! `BENCH_pr6.json` (overload) at the workspace root.
+//! The measured numbers are printed; the repo's benchmark record is the
+//! `benchmark/` harness.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use opine_bench::banner;
@@ -408,26 +408,6 @@ fn bench(c: &mut Criterion) {
         warm_rps >= 1000.0,
         "acceptance: warm serving must exceed 1k req/s, got {warm_rps:.0}"
     );
-
-    // ---- record for the PR ----
-    let json = format!(
-        "{{\n  \"bench\": \"serve_throughput\",\n  \"config\": {{\n    \"db_entities\": {DB_ENTITIES},\n    \"workers\": {workers},\n    \"clients\": {CLIENTS},\n    \"pipeline_depth\": 32,\n    \"measure_window_secs\": {:.3}\n  }},\n  \"requests_per_second\": {{\n    \"warm_result_cache\": {warm_rps:.1},\n    \"warm_pipelined\": {piped_rps:.1},\n    \"uncached_execution\": {uncached_rps:.1}\n  }},\n  \"latency\": {{\n    \"warm_single_client_us\": {warm_latency_us:.1}\n  }}\n}}\n",
-        MEASURE_WINDOW.as_secs_f64()
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr2.json");
-    std::fs::write(out, &json).expect("write BENCH_pr2.json");
-    println!("wrote {out}");
-
-    let overload_json = format!(
-        "{{\n  \"bench\": \"serve_overload\",\n  \"config\": {{\n    \"db_entities\": {DB_ENTITIES},\n    \"workers\": {CLIENTS},\n    \"max_in_flight\": {OVERLOAD_BUDGET},\n    \"offered_clients\": {},\n    \"result_cache\": false,\n    \"measure_window_secs\": {:.3}\n  }},\n  \"uncontended\": {{\n    \"clients\": {OVERLOAD_BUDGET},\n    \"p99_us\": {base_p99_us},\n    \"admitted\": {},\n    \"shed\": {base_shed}\n  }},\n  \"overload_2x\": {{\n    \"p99_us\": {over_p99_us},\n    \"admitted\": {admitted},\n    \"shed\": {over_shed},\n    \"p99_ratio_vs_uncontended\": {:.2},\n    \"acceptance_p99_within_5x\": true\n  }}\n}}\n",
-        OVERLOAD_BUDGET * 2,
-        MEASURE_WINDOW.as_secs_f64(),
-        base_lat.len(),
-        over_p99_us as f64 / base_p99_us.max(1) as f64,
-    );
-    let out6 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr6.json");
-    std::fs::write(out6, &overload_json).expect("write BENCH_pr6.json");
-    println!("wrote {out6}");
 
     // ---- criterion samples ----
     let mut group = c.benchmark_group("serve_throughput");

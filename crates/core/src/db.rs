@@ -12,7 +12,7 @@ use crate::interpret::{Interpretation, Interpreter};
 use crate::membership::{marker_features, scan_features, MembershipModel};
 use crate::par;
 use crate::summary::{MarkerSet, MarkerSummary, PhraseContribution};
-use crate::topk::{threshold_topk_dense, threshold_topk_dense_filtered, threshold_topk_rescored};
+use crate::topk::{threshold_topk_dense, threshold_topk_dense_filtered};
 use opine_embed::PhraseEmbedder;
 use opine_ir::{Bm25Params, InvertedIndex};
 use opine_sentiment::SentimentAnalyzer;
@@ -123,8 +123,6 @@ pub struct CacheReport {
     pub cached_columns: usize,
     /// Heap bytes held by the cached degree columns.
     pub column_bytes: usize,
-    /// True when new degree columns are stored quantized (`u16`).
-    pub quantized_columns: bool,
     /// Queries answered by the threshold-algorithm fast path (pure
     /// subjective conjunctions and pushdown queries combined).
     pub ta_queries: u64,
@@ -184,8 +182,6 @@ pub enum MetricValue {
     Counter(u64),
     /// A point-in-time level that can go up or down.
     Gauge(u64),
-    /// A boolean toggle (rendered as `true`/`false` or `0`/`1`).
-    Flag(bool),
     /// A cache's hit/miss pair.
     Cache(CacheStats),
 }
@@ -196,7 +192,7 @@ impl CacheReport {
     /// the `/metrics` Prometheus exposition render from this one list,
     /// so the two surfaces cannot drift apart.
     pub fn fields(&self) -> impl Iterator<Item = (&'static str, MetricValue)> {
-        use MetricValue::{Cache, Counter, Flag, Gauge};
+        use MetricValue::{Cache, Counter, Gauge};
         [
             ("interpretations", Cache(self.interpretations)),
             ("phrases", Cache(self.phrases)),
@@ -204,7 +200,6 @@ impl CacheReport {
             ("degree_columns", Cache(self.columns)),
             ("cached_degree_columns", Gauge(self.cached_columns as u64)),
             ("degree_column_bytes", Gauge(self.column_bytes as u64)),
-            ("quantized_columns", Flag(self.quantized_columns)),
             ("ta_queries", Counter(self.ta_queries)),
             ("pushdown_queries", Counter(self.pushdown_queries)),
             ("filtered_summaries", Cache(self.filtered_summaries)),
@@ -241,134 +236,65 @@ pub struct PreparedPhrase {
     pub sentiment: f64,
 }
 
-/// Quantization scale of the `u16` degree representation.
-const QUANT_SCALE: f64 = u16::MAX as f64;
-
-/// Storage of a degree column: exact `f64` per entity, or ceil-quantized
-/// `u16` (the ROADMAP "degree-column memory" representation — 4x smaller,
-/// with the dequantized value a guaranteed *upper bound* of the exact
-/// degree so the threshold algorithm stays correct).
-#[derive(Debug)]
-enum DegreeData {
-    Exact(Vec<f64>),
-    Quantized(Vec<u16>),
-}
-
-/// The dense degree column of one predicate: one slot per entity, plus
-/// the descending-degree entity order (TA's sorted-access list),
-/// computed once on demand and reused by every subsequent top-k over
-/// the same predicate.
+/// The dense degree column of one predicate: one exact degree per
+/// entity, plus the descending-degree entity order (TA's sorted-access
+/// list), computed once on demand and reused by every subsequent top-k
+/// over the same predicate.
 #[derive(Debug)]
 pub struct DegreeColumn {
-    data: DegreeData,
+    degrees: Vec<f64>,
     sorted: OnceLock<Vec<u32>>,
 }
 
 impl DegreeColumn {
-    fn exact(degrees: Vec<f64>) -> Self {
+    fn new(degrees: Vec<f64>) -> Self {
         DegreeColumn {
-            data: DegreeData::Exact(degrees),
-            sorted: OnceLock::new(),
-        }
-    }
-
-    /// Ceil quantization: the dequantized value never under-estimates
-    /// the exact degree, which is what TA's threshold bound needs.
-    fn quantized(degrees: &[f64]) -> Self {
-        DegreeColumn {
-            data: DegreeData::Quantized(
-                degrees
-                    .iter()
-                    .map(|&d| (d.clamp(0.0, 1.0) * QUANT_SCALE).ceil() as u16)
-                    .collect(),
-            ),
+            degrees,
             sorted: OnceLock::new(),
         }
     }
 
     /// Number of entities.
     pub fn len(&self) -> usize {
-        match &self.data {
-            DegreeData::Exact(v) => v.len(),
-            DegreeData::Quantized(v) => v.len(),
-        }
+        self.degrees.len()
     }
 
     /// True when the column holds no entities.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.degrees.is_empty()
     }
 
-    /// True for the `u16` representation.
-    pub fn is_quantized(&self) -> bool {
-        matches!(self.data, DegreeData::Quantized(_))
+    /// Degree of truth per entity id.
+    pub fn degrees(&self) -> &[f64] {
+        &self.degrees
     }
 
-    /// Exact degree of truth per entity id; `None` for quantized
-    /// columns, whose exact degrees must be recomputed point-wise.
-    pub fn degrees(&self) -> Option<&[f64]> {
-        match &self.data {
-            DegreeData::Exact(v) => Some(v),
-            DegreeData::Quantized(_) => None,
-        }
-    }
-
-    /// Upper bound of the entity's degree: the exact value, or the
-    /// dequantized ceil for quantized columns.
-    #[inline]
-    pub fn upper(&self, entity: usize) -> f64 {
-        match &self.data {
-            DegreeData::Exact(v) => v[entity],
-            DegreeData::Quantized(v) => f64::from(v[entity]) / QUANT_SCALE,
-        }
-    }
-
-    /// Heap bytes of the degree storage (the cache-footprint number the
-    /// quantization ablation measures).
+    /// Heap bytes of the degree storage.
     pub fn memory_bytes(&self) -> usize {
-        match &self.data {
-            DegreeData::Exact(v) => v.len() * std::mem::size_of::<f64>(),
-            DegreeData::Quantized(v) => v.len() * std::mem::size_of::<u16>(),
-        }
+        self.degrees.len() * std::mem::size_of::<f64>()
     }
 
-    /// A copy with the given `(entity, exact degree)` slots replaced —
-    /// the live-ingest cache-repair path, which recomputes only the
-    /// entities whose delta version moved past the cached column's
-    /// epoch stamp instead of rebuilding all of them. Quantized slots
-    /// re-quantize with the same ceil rule as a cold build; the sorted
-    /// order is recomputed lazily by the new column.
+    /// A copy with the given `(entity, degree)` slots replaced — the
+    /// live-ingest cache-repair path, which recomputes only the entities
+    /// whose delta version moved past the cached column's epoch stamp
+    /// instead of rebuilding all of them. The sorted order is recomputed
+    /// lazily by the new column.
     fn patched(&self, updates: &[(usize, f64)]) -> DegreeColumn {
-        match &self.data {
-            DegreeData::Exact(v) => {
-                let mut v = v.clone();
-                for &(entity, degree) in updates {
-                    v[entity] = degree;
-                }
-                DegreeColumn::exact(v)
-            }
-            DegreeData::Quantized(q) => {
-                let mut q = q.clone();
-                for &(entity, degree) in updates {
-                    q[entity] = (degree.clamp(0.0, 1.0) * QUANT_SCALE).ceil() as u16;
-                }
-                DegreeColumn {
-                    data: DegreeData::Quantized(q),
-                    sorted: OnceLock::new(),
-                }
-            }
+        let mut degrees = self.degrees.clone();
+        for &(entity, degree) in updates {
+            degrees[entity] = degree;
         }
+        DegreeColumn::new(degrees)
     }
 
-    /// Entity ids in descending-degree order (ties by entity id), by
-    /// [`Self::upper`]. Sorted once per column; repeated queries reuse
-    /// the order.
+    /// Entity ids in descending-degree order (ties by entity id). Sorted
+    /// once per column; repeated queries reuse the order.
     pub fn sorted_order(&self) -> &[u32] {
         self.sorted.get_or_init(|| {
             let mut order: Vec<u32> = (0..self.len() as u32).collect();
             order.sort_by(|&a, &b| {
-                self.upper(b as usize)
-                    .total_cmp(&self.upper(a as usize))
+                self.degrees[b as usize]
+                    .total_cmp(&self.degrees[a as usize])
                     .then_with(|| a.cmp(&b))
             });
             order
@@ -583,17 +509,6 @@ pub struct OpineDb {
     /// When false, degrees are recomputed by scanning raw extractions
     /// (the Table 7 "no markers" ablation).
     use_markers: std::sync::atomic::AtomicBool,
-    /// When false, degrees are recomputed on every call (honest timing)
-    /// and the batched/TA fast paths are disabled.
-    cache_degrees: std::sync::atomic::AtomicBool,
-    /// When true, new degree columns are stored as `u16` (4x smaller);
-    /// query answers stay exact via frontier rescoring.
-    quantize_columns: std::sync::atomic::AtomicBool,
-    /// When false, `rank_subjective_conjunction` refuses candidate
-    /// bitmaps, so mixed queries fall back to row-at-a-time residual
-    /// scoring — the pre-pushdown behaviour, kept as an ablation and as
-    /// the property-test reference path.
-    objective_pushdown: std::sync::atomic::AtomicBool,
     /// Entity id ↔ base-table row position maps, built once on first
     /// pushdown (the executor's candidate bitmaps are row-indexed).
     entity_rows: OnceLock<Option<EntityRowMaps>>,
@@ -746,9 +661,6 @@ impl OpineDb {
             point_cache: BoundedCache::new(65_536),
             phrase_cache: BoundedCache::new(4096),
             use_markers: std::sync::atomic::AtomicBool::new(true),
-            cache_degrees: std::sync::atomic::AtomicBool::new(true),
-            quantize_columns: std::sync::atomic::AtomicBool::new(false),
-            objective_pushdown: std::sync::atomic::AtomicBool::new(true),
             entity_rows: OnceLock::new(),
             ta_queries: std::sync::atomic::AtomicU64::new(0),
             pushdown_queries: std::sync::atomic::AtomicU64::new(0),
@@ -824,44 +736,6 @@ impl OpineDb {
             .store(enabled, std::sync::atomic::Ordering::Relaxed);
         self.column_cache.clear();
         self.point_cache.clear();
-    }
-
-    /// Enables/disables the degree-of-truth cache (disabled for honest
-    /// per-query timing in the Table 7 experiment) and clears it. While
-    /// disabled, queries take the naive row-at-a-time scoring path — no
-    /// batched columns, no threshold-algorithm ranking.
-    pub fn set_degree_cache(&self, enabled: bool) {
-        // sync: independent ablation toggle; no data is published through
-        // it and the cache clears below make stale reads harmless.
-        self.cache_degrees
-            .store(enabled, std::sync::atomic::Ordering::Relaxed);
-        self.column_cache.clear();
-        self.point_cache.clear();
-        self.phrase_cache.clear();
-    }
-
-    /// Switches degree columns between exact `f64` and quantized `u16`
-    /// storage (the ROADMAP "degree-column memory" ablation; ~4x
-    /// smaller cache footprint, exact answers preserved through
-    /// frontier rescoring). Clears the column cache, whose
-    /// representation the flag controls.
-    pub fn set_quantized_columns(&self, enabled: bool) {
-        // sync: independent ablation toggle; no data is published through
-        // it and the cache clear below makes stale reads harmless.
-        self.quantize_columns
-            .store(enabled, std::sync::atomic::Ordering::Relaxed);
-        self.column_cache.clear();
-    }
-
-    /// Enables/disables the objective-predicate pushdown into the TA
-    /// fast path. Disabled, mixed queries score row-at-a-time over the
-    /// prefiltered candidates — the pre-pushdown behaviour, used as the
-    /// ablation baseline and the property-test reference.
-    pub fn set_objective_pushdown(&self, enabled: bool) {
-        // sync: independent ablation toggle; either setting yields a
-        // correct (if differently routed) answer, so no ordering needed.
-        self.objective_pushdown
-            .store(enabled, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Routes BM25 top-k retrieval (the co-occurrence interpretation
@@ -942,10 +816,6 @@ impl OpineDb {
             columns: self.column_cache.stats(),
             cached_columns: self.column_cache.len(),
             column_bytes,
-            // sync: ablation-toggle read for a stats report; staleness fine.
-            quantized_columns: self
-                .quantize_columns
-                .load(std::sync::atomic::Ordering::Relaxed),
             ta_queries: self.ta_queries.load(std::sync::atomic::Ordering::Relaxed),
             pushdown_queries: self.pushdown_queries(),
             filtered_summaries: self.filtered_cache.stats(),
@@ -1123,57 +993,37 @@ impl OpineDb {
 
     /// Degree of truth of a natural-language predicate for an entity.
     ///
-    /// With the degree cache enabled (the default) this reads the
-    /// predicate's dense column when one is already cached (built by the
-    /// batch paths) and otherwise computes just this entity, memoizing
-    /// the point value — a mixed query whose objective filter admits few
+    /// Reads the predicate's dense column when one is already cached
+    /// (built by the batch paths) and otherwise computes just this
+    /// entity, memoizing the point value — a mixed query whose objective filter admits few
     /// rows must not trigger a full column build.
     pub fn degree(&self, entity: usize, predicate: &str) -> f64 {
         self.ensure_pinned(|pin| self.degree_pinned(entity, predicate, pin))
     }
 
     fn degree_pinned(&self, entity: usize, predicate: &str, pin: &Pin) -> f64 {
-        if self.caching() {
-            // Quantized columns only hold upper bounds, so with
-            // quantization on (the cache is cleared on every flag flip,
-            // so it then holds *only* quantized columns) the probe
-            // would always be discarded in favour of the exact point
-            // path below — skip it rather than pay a lock round-trip
-            // and log a bogus cache hit per point lookup.
-            // sync: ablation toggle; a stale read only routes through the
-            // other (equally correct) scoring representation.
-            let quantized = self
-                .quantize_columns
-                .load(std::sync::atomic::Ordering::Relaxed);
-            if !quantized {
-                if let Some((stamp, column)) = self.column_cache.get(predicate) {
-                    if Self::entry_fresh(stamp, entity, pin) {
-                        if let Some(degrees) = column.degrees() {
-                            return degrees[entity];
-                        }
-                    }
-                }
+        if let Some((stamp, column)) = self.column_cache.get(predicate) {
+            if Self::entry_fresh(stamp, entity, pin) {
+                return column.degrees()[entity];
             }
-            // `\u{1}` cannot occur in tokenized predicate text, so the
-            // composite key is unambiguous.
-            let key = format!("{entity}\u{1}{predicate}");
-            if let Some((stamp, degree)) = self.point_cache.get(&key) {
-                if Self::entry_fresh(stamp, entity, pin) {
-                    return degree;
-                }
+        }
+        // `\u{1}` cannot occur in tokenized predicate text, so the
+        // composite key is unambiguous.
+        let key = format!("{entity}\u{1}{predicate}");
+        if let Some((stamp, degree)) = self.point_cache.get(&key) {
+            if Self::entry_fresh(stamp, entity, pin) {
+                return degree;
             }
-            let interp = self.interpret(predicate);
-            let degree = self.degree_for_interpretation(entity, predicate, &interp);
-            self.point_cache.insert(&key, (pin.epoch, degree));
-            return degree;
         }
         let interp = self.interpret(predicate);
-        self.degree_for_interpretation(entity, predicate, &interp)
+        let degree = self.degree_for_interpretation(entity, predicate, &interp);
+        self.point_cache.insert(&key, (pin.epoch, degree));
+        degree
     }
 
     /// The dense degree column of a predicate over all entities, cached
-    /// when the degree cache is enabled. Degrees are computed in
-    /// parallel over entity chunks.
+    /// by predicate text. Degrees are computed in parallel over entity
+    /// chunks.
     ///
     /// Cached columns are stamped with the data epoch they were built
     /// at. A probe from a newer pin **repairs** a stale column instead
@@ -1185,50 +1035,48 @@ impl OpineDb {
     }
 
     fn degree_column_pinned(&self, predicate: &str, pin: &Pin) -> Arc<DegreeColumn> {
-        let mut cacheable = self.caching();
-        if self.caching() {
-            if let Some((stamp, column)) = self.column_cache.get(predicate) {
-                if stamp == pin.epoch {
+        let mut cacheable = true;
+        if let Some((stamp, column)) = self.column_cache.get(predicate) {
+            if stamp == pin.epoch {
+                opine_trace::count("ta_topk", "cache_hits", 1);
+                return column;
+            }
+            if stamp < pin.epoch {
+                let mut stale: Vec<usize> = pin
+                    .delta
+                    .entity_versions
+                    .iter()
+                    .filter(|&(_, &version)| version > stamp)
+                    .map(|(&entity, _)| entity)
+                    .collect();
+                if stale.is_empty() {
+                    // Nothing the column depends on changed across those
+                    // epochs; restamp so the next probe hits on the fast
+                    // equality check.
                     opine_trace::count("ta_topk", "cache_hits", 1);
-                    return column;
-                }
-                if stamp < pin.epoch {
-                    let mut stale: Vec<usize> = pin
-                        .delta
-                        .entity_versions
-                        .iter()
-                        .filter(|&(_, &version)| version > stamp)
-                        .map(|(&entity, _)| entity)
-                        .collect();
-                    if stale.is_empty() {
-                        // Nothing the column depends on changed across
-                        // those epochs; restamp so the next probe hits
-                        // on the fast equality check.
-                        opine_trace::count("ta_topk", "cache_hits", 1);
-                        self.column_cache
-                            .insert(predicate, (pin.epoch, column.clone()));
-                        return column;
-                    }
-                    stale.sort_unstable();
-                    opine_trace::count("ta_topk", "cache_repairs", 1);
-                    let interp = self.interpret(predicate);
-                    let prepared = self.prepare_interpretation(predicate, &interp);
-                    let updates: Vec<(usize, f64)> = stale
-                        .iter()
-                        .map(|&entity| {
-                            opine_faults::checkpoint();
-                            (entity, self.degree_prepared(entity, &prepared))
-                        })
-                        .collect();
-                    let column = Arc::new(column.patched(&updates));
                     self.column_cache
                         .insert(predicate, (pin.epoch, column.clone()));
                     return column;
                 }
-                // stamp > pin.epoch: a column from this pin's future.
-                // Build privately without regressing the cached stamp.
-                cacheable = false;
+                stale.sort_unstable();
+                opine_trace::count("ta_topk", "cache_repairs", 1);
+                let interp = self.interpret(predicate);
+                let prepared = self.prepare_interpretation(predicate, &interp);
+                let updates: Vec<(usize, f64)> = stale
+                    .iter()
+                    .map(|&entity| {
+                        opine_faults::checkpoint();
+                        (entity, self.degree_prepared(entity, &prepared))
+                    })
+                    .collect();
+                let column = Arc::new(column.patched(&updates));
+                self.column_cache
+                    .insert(predicate, (pin.epoch, column.clone()));
+                return column;
             }
+            // stamp > pin.epoch: a column from this pin's future. Build
+            // privately without regressing the cached stamp.
+            cacheable = false;
         }
         opine_trace::count("ta_topk", "cache_misses", 1);
         let interp = self.interpret(predicate);
@@ -1261,16 +1109,7 @@ impl OpineDb {
                 self.degree_prepared(entity, &prepared)
             }),
         };
-        // sync: ablation toggle; a stale read only routes through the
-        // other (equally correct) column representation.
-        let quantize = self
-            .quantize_columns
-            .load(std::sync::atomic::Ordering::Relaxed);
-        let column = Arc::new(if quantize {
-            DegreeColumn::quantized(&degrees)
-        } else {
-            DegreeColumn::exact(degrees)
-        });
+        let column = Arc::new(DegreeColumn::new(degrees));
         if cacheable {
             self.column_cache
                 .insert(predicate, (pin.epoch, column.clone()));
@@ -1291,11 +1130,7 @@ impl OpineDb {
 
     /// [`Self::rank_top_k`] with an optional candidate restriction: only
     /// entities with `is_candidate(entity)` true are ranked (the
-    /// objective-predicate pushdown). Quantized columns route through
-    /// the rescored TA — sorted access and stopping use the `u16` upper
-    /// bounds, while returned scores are recomputed exactly through the
-    /// (memoized) point path, so the answer is identical to the exact
-    /// column's.
+    /// objective-predicate pushdown).
     pub fn rank_top_k_filtered(
         &self,
         predicates: &[&str],
@@ -1305,24 +1140,11 @@ impl OpineDb {
         let columns: Vec<Arc<DegreeColumn>> =
             predicates.iter().map(|p| self.degree_column(p)).collect();
         let order_views: Vec<&[u32]> = columns.iter().map(|c| c.sorted_order()).collect();
-        if columns.iter().all(|c| !c.is_quantized()) {
-            let degree_views: Vec<&[f64]> = columns
-                .iter()
-                .map(|c| c.degrees().expect("exact column"))
-                .collect();
-            return match is_candidate {
-                None => threshold_topk_dense(&degree_views, &order_views, k),
-                Some(f) => threshold_topk_dense_filtered(&degree_views, &order_views, k, f),
-            };
+        let degree_views: Vec<&[f64]> = columns.iter().map(|c| c.degrees()).collect();
+        match is_candidate {
+            None => threshold_topk_dense(&degree_views, &order_views, k),
+            Some(f) => threshold_topk_dense_filtered(&degree_views, &order_views, k, f),
         }
-        threshold_topk_rescored(
-            &order_views,
-            self.num_entities(),
-            |p, e| columns[p].upper(e),
-            |e| predicates.iter().map(|p| self.degree(e, p)).product(),
-            |e| is_candidate.is_none_or(|f| f(e)),
-            k,
-        )
     }
 
     /// The objective-pushdown ranking: top-k among the candidate rows
@@ -1353,21 +1175,15 @@ impl OpineDb {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let columns: Vec<Arc<DegreeColumn>> =
             predicates.iter().map(|p| self.degree_column(p)).collect();
-        let all_exact = columns.iter().all(|c| !c.is_quantized());
         let cand_count = bitmap.count_ones();
         if k == 0 {
             return Some(Vec::new());
         }
-        if all_exact
-            && cand_count.saturating_mul(cand_count) <= k.saturating_mul(self.num_entities())
-        {
+        if cand_count.saturating_mul(cand_count) <= k.saturating_mul(self.num_entities()) {
             opine_trace::note(|| {
                 format!("ta_topk: pushdown via gather ({cand_count} candidates, k={k})")
             });
-            let views: Vec<&[f64]> = columns
-                .iter()
-                .map(|c| c.degrees().expect("exact column"))
-                .collect();
+            let views: Vec<&[f64]> = columns.iter().map(|c| c.degrees()).collect();
             let mut scored: Vec<(usize, f64)> = bitmap
                 .iter_ones()
                 .filter_map(|row| {
@@ -1397,31 +1213,16 @@ impl OpineDb {
         ))
     }
 
-    #[inline]
-    fn caching(&self) -> bool {
-        // sync: ablation toggle; stale reads only affect whether a result
-        // is memoized, never its value.
-        self.cache_degrees
-            .load(std::sync::atomic::Ordering::Relaxed)
-    }
-
     /// Normalized embedding + sentiment of a query phrase, memoized.
-    ///
-    /// Honest-timing mode (`set_degree_cache(false)`) bypasses the memo
-    /// entirely so ablation benches measure the full recompute.
     pub fn prepare_phrase(&self, phrase: &str) -> Arc<PreparedPhrase> {
-        let compute = || {
+        self.phrase_cache.get_or_insert_with(phrase, || {
             let mut rep = self.embedder.rep(phrase, &self.vocab);
             opine_embed::normalize(&mut rep);
             Arc::new(PreparedPhrase {
                 rep,
                 sentiment: self.sentiment.score(phrase),
             })
-        };
-        if !self.caching() {
-            return compute();
-        }
-        self.phrase_cache.get_or_insert_with(phrase, compute)
+        })
     }
 
     /// Hoists the query-side work of an interpretation (embeddings,
@@ -1481,8 +1282,11 @@ impl OpineDb {
                     &Bm25Params::default(),
                 );
                 if let Some(index) = Self::delta_text_index(&pin, self.num_entities()) {
-                    score +=
-                        index.bm25(opine_ir::DocId(entity as u32), terms, &Bm25Params::default());
+                    score += index.bm25(
+                        opine_ir::DocId(entity as u32),
+                        terms,
+                        &Bm25Params::default(),
+                    );
                 }
                 sigmoid(score - self.config.sigmoid_c)
             }
@@ -1595,7 +1399,11 @@ impl OpineDb {
             &Bm25Params::default(),
         );
         if let Some(index) = Self::delta_text_index(&pin, self.num_entities()) {
-            score += index.bm25(opine_ir::DocId(entity as u32), &terms, &Bm25Params::default());
+            score += index.bm25(
+                opine_ir::DocId(entity as u32),
+                &terms,
+                &Bm25Params::default(),
+            );
         }
         sigmoid(score - self.config.sigmoid_c)
     }
@@ -1685,19 +1493,15 @@ impl OpineDb {
             // not by flushing, so queries pinned before the publish
             // keep hitting their own generation's entries.
             let key = format!("{}\u{1}{}", pin.epoch, qualifier);
-            if self.caching() {
-                if let Some(hit) = self.filtered_cache.get(&key) {
-                    opine_trace::count("summary_merge", "cache_hits", 1);
-                    return hit;
-                }
+            if let Some(hit) = self.filtered_cache.get(&key) {
+                opine_trace::count("summary_merge", "cache_hits", 1);
+                return hit;
             }
             let span = opine_trace::span("summary_merge");
             span.count("cache_misses", 1);
             let merged = Arc::new(self.merge_qualified(qualifier, pin));
             drop(span);
-            if self.caching() {
-                self.filtered_cache.insert(&key, merged.clone());
-            }
+            self.filtered_cache.insert(&key, merged.clone());
             merged
         })
     }
@@ -2156,9 +1960,9 @@ impl OpineDb {
                     },
                 }
             };
-            let key = values[entity_col].as_str().ok_or_else(|| {
-                insert_error(format!("row {r}: entity must be a string key"))
-            })?;
+            let key = values[entity_col]
+                .as_str()
+                .ok_or_else(|| insert_error(format!("row {r}: entity must be a string key")))?;
             let entity = self.entity_id(key).ok_or_else(|| {
                 insert_error(format!(
                     "row {r}: unknown entity `{key}` (the entity set is frozen at build time)"
@@ -2412,12 +2216,8 @@ impl SubjectiveScorer for OpineDb {
     fn prepare_predicates(&self, predicates: &[&str]) {
         // Warm the degree columns (computed in parallel over entity
         // chunks) so the executor's row loop reduces to cache reads.
-        // Disabled-cache mode keeps the naive per-row path for honest
-        // ablation timing.
-        if self.caching() {
-            for predicate in predicates {
-                let _ = self.degree_column(predicate);
-            }
+        for predicate in predicates {
+            let _ = self.degree_column(predicate);
         }
     }
 
@@ -2427,10 +2227,6 @@ impl SubjectiveScorer for OpineDb {
         k: usize,
         candidates: Option<&Bitmap>,
     ) -> Option<Vec<(Value, f64)>> {
-        if !self.caching() {
-            opine_trace::note(|| "ta_topk: declined — degree cache disabled".into());
-            return None;
-        }
         opine_faults::fire_panic("pre_ta");
         let span = opine_trace::span("ta_topk");
         let ranked = match candidates {
@@ -2439,15 +2235,6 @@ impl SubjectiveScorer for OpineDb {
                 self.rank_top_k(predicates, k)
             }
             Some(bitmap) => {
-                // sync: ablation toggle; declining pushdown on a stale
-                // read just takes the slower row-at-a-time path.
-                if !self
-                    .objective_pushdown
-                    .load(std::sync::atomic::Ordering::Relaxed)
-                {
-                    opine_trace::note(|| "ta_topk: declined — objective pushdown disabled".into());
-                    return None;
-                }
                 let Some(ranked) = self.rank_pushdown(predicates, k, bitmap) else {
                     opine_trace::note(|| "ta_topk: declined — no entity↔row maps".into());
                     return None;
@@ -2495,8 +2282,8 @@ fn sigmoid(x: f64) -> f64 {
 
 /// Concurrency audit: the serving layer shares one `OpineDb` behind an
 /// `Arc` across request threads, so every interior cache (the bounded
-/// memos, the `OnceLock` sorted orders, the ablation flags) must be
-/// thread-safe. Failing this assertion is a compile error, not a runtime
+/// memos, the `OnceLock` sorted orders, the markers ablation flag) must
+/// be thread-safe. Failing this assertion is a compile error, not a runtime
 /// surprise.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
@@ -2535,6 +2322,24 @@ mod tests {
             },
         );
         (corpus, db)
+    }
+
+    /// `sql` through the row-at-a-time reference plan: every row scored
+    /// via [`OpineDb::degree`], no TA ranking, no pushdown.
+    fn reference_plan(db: &OpineDb, sql: &str) -> QueryOutput {
+        let select = parse_select(sql).unwrap();
+        QueryOutput {
+            result: opine_store::execute(&select, db.catalog(), &opine_store::RowAtATime(db))
+                .unwrap(),
+            interpretations: Vec::new(),
+        }
+    }
+
+    /// `(ta_queries, pushdown_queries)` — the fast-path counters a
+    /// reference run must leave untouched.
+    fn fast_path_counters(db: &OpineDb) -> (u64, u64) {
+        let report = db.cache_report();
+        (report.ta_queries, report.pushdown_queries)
     }
 
     #[test]
@@ -2870,9 +2675,10 @@ mod tests {
         );
         // Batched column (one pass over the posting lists)…
         let column = db.degree_column(predicate);
-        let degrees = column.degrees().expect("exact by default");
-        // …must equal the per-entity point path exactly.
-        db.set_degree_cache(false);
+        let degrees = column.degrees();
+        // …must equal the per-entity point path exactly (with the column
+        // uncached, `degree` computes each entity on its own).
+        db.clear_degree_columns();
         for (e, column_degree) in degrees.iter().enumerate() {
             let point = db.degree(e, predicate);
             assert_eq!(
@@ -2881,7 +2687,6 @@ mod tests {
                 "entity {e}: batched text column diverged from the point path"
             );
         }
-        db.set_degree_cache(true);
     }
 
     #[test]
@@ -2947,10 +2752,11 @@ mod tests {
     fn degree_column_matches_naive_per_entity_path() {
         let (_, db) = db();
         let column = db.degree_column("clean rooms");
-        let degrees = column.degrees().expect("exact by default");
+        let degrees = column.degrees();
         assert_eq!(degrees.len(), db.num_entities());
-        // The naive (cache-disabled) path must produce the same degrees.
-        db.set_degree_cache(false);
+        // The naive per-entity point path (column uncached) must produce
+        // the same degrees.
+        db.clear_degree_columns();
         for (e, column_degree) in degrees.iter().enumerate() {
             let naive = db.degree(e, "clean rooms");
             assert!(
@@ -2958,7 +2764,6 @@ mod tests {
                 "entity {e}: column {column_degree} vs naive {naive}"
             );
         }
-        db.set_degree_cache(true);
     }
 
     #[test]
@@ -2969,7 +2774,7 @@ mod tests {
         assert_eq!(order.len(), db.num_entities());
         for w in order.windows(2) {
             let (a, b) = (w[0] as usize, w[1] as usize);
-            let (da, db_) = (column.upper(a), column.upper(b));
+            let (da, db_) = (column.degrees()[a], column.degrees()[b]);
             assert!(da > db_ || (da == db_ && a < b));
         }
     }
@@ -2981,14 +2786,7 @@ mod tests {
         let ranked = db.rank_top_k(&preds, 5);
         let cols: Vec<_> = preds.iter().map(|p| db.degree_column(p)).collect();
         let mut naive: Vec<(usize, f64)> = (0..db.num_entities())
-            .map(|e| {
-                (
-                    e,
-                    cols.iter()
-                        .map(|c| c.degrees().expect("exact")[e])
-                        .product(),
-                )
-            })
+            .map(|e| (e, cols.iter().map(|c| c.degrees()[e]).product()))
             .collect();
         naive.sort_by(crate::topk::rank_cmp);
         naive.truncate(5);
@@ -3000,11 +2798,16 @@ mod tests {
         let (_, db) = db();
         let sql = "select * from hotels where \"clean rooms\" limit 8";
         let fast = db.query(sql).unwrap();
-        // Disabling the degree cache routes the same query through the
-        // naive row-at-a-time executor path.
-        db.set_degree_cache(false);
-        let naive = db.query(sql).unwrap();
-        db.set_degree_cache(true);
+        // The row-at-a-time reference plan on cold caches scores every
+        // row through the naive point path.
+        db.clear_caches();
+        let counters = fast_path_counters(&db);
+        let naive = reference_plan(&db, sql);
+        assert_eq!(
+            fast_path_counters(&db),
+            counters,
+            "the reference must not take the TA fast path"
+        );
         assert_eq!(fast.result.rows.len(), naive.result.rows.len());
         for (f, n) in fast.result.rows.iter().zip(&naive.result.rows) {
             assert_eq!(f.0[0], n.0[0], "same entity order");
@@ -3032,15 +2835,19 @@ mod tests {
                 "objective filter still applies on the TA path"
             );
         }
-        // The pushdown answer must equal both ablation baselines
-        // exactly: pushdown disabled (prefilter + row-at-a-time
-        // residue) and caches disabled (fully naive scoring).
-        db.set_objective_pushdown(false);
-        let row_at_a_time = db.query(sql).unwrap();
-        db.set_objective_pushdown(true);
-        db.set_degree_cache(false);
-        let naive = db.query(sql).unwrap();
-        db.set_degree_cache(true);
+        // The pushdown answer must equal the row-at-a-time reference plan
+        // exactly, both over the warm degree columns (prefilter +
+        // row-at-a-time residue) and on cold caches (fully naive
+        // scoring).
+        let counters = fast_path_counters(&db);
+        let row_at_a_time = reference_plan(&db, sql);
+        db.clear_caches();
+        let naive = reference_plan(&db, sql);
+        assert_eq!(
+            fast_path_counters(&db),
+            counters,
+            "the reference must not take the TA or pushdown path"
+        );
         for reference in [&row_at_a_time, &naive] {
             assert_eq!(out.result.rows.len(), reference.result.rows.len());
             for (a, b) in out.result.rows.iter().zip(&reference.result.rows) {
@@ -3057,46 +2864,6 @@ mod tests {
             .query("select * from hotels where price_pn < 0 and \"clean rooms\"")
             .unwrap();
         assert!(out.result.rows.is_empty());
-    }
-
-    #[test]
-    fn quantized_columns_cut_memory_but_not_answers() {
-        let (_, db) = db();
-        let sql = "select * from hotels where price_pn < 250 and \"clean rooms\" limit 50";
-        let exact_out = db.query(sql).unwrap();
-        let exact_pure = db
-            .query("select * from hotels where \"clean rooms\" limit 50")
-            .unwrap();
-        let exact_bytes = db.cache_report().column_bytes;
-        assert!(exact_bytes > 0);
-
-        db.set_quantized_columns(true);
-        let quant_out = db.query(sql).unwrap();
-        let quant_pure = db
-            .query("select * from hotels where \"clean rooms\" limit 50")
-            .unwrap();
-        let report = db.cache_report();
-        assert!(report.quantized_columns);
-        assert!(
-            report.column_bytes * 4 == exact_bytes,
-            "u16 storage must be exactly 4x smaller ({} vs {exact_bytes})",
-            report.column_bytes
-        );
-        db.set_quantized_columns(false);
-
-        for (a, b) in [
-            (&exact_out.result, &quant_out.result),
-            (&exact_pure.result, &quant_pure.result),
-        ] {
-            assert_eq!(a.rows.len(), b.rows.len());
-            for (x, y) in a.rows.iter().zip(&b.rows) {
-                assert_eq!(x.0[0], y.0[0], "same ranking under quantization");
-                assert!(
-                    (x.1 - y.1).abs() < 1e-12,
-                    "scores stay exact via frontier rescoring"
-                );
-            }
-        }
     }
 
     #[test]
@@ -3203,7 +2970,11 @@ mod tests {
             let err = db.insert_sql(&sql).unwrap_err();
             assert!(matches!(err, OpineError::Store(_)), "{sql}: {err:?}");
         }
-        assert_eq!(db.ingest_epoch(), 0, "every rejection left the epoch untouched");
+        assert_eq!(
+            db.ingest_epoch(),
+            0,
+            "every rejection left the epoch untouched"
+        );
         assert_eq!(db.delta_reviews(), 0);
         assert_eq!(db.cache_report().inserted_reviews, 0);
     }
@@ -3219,7 +2990,7 @@ mod tests {
         );
         let phrase = db.opinion_domain(0).variations()[0].phrase.clone();
         let before = db.degree_column(predicate);
-        let before_degrees = before.degrees().expect("exact by default").to_vec();
+        let before_degrees = before.degrees().to_vec();
         // A strong new signal for entity 0 only.
         let text = [phrase.as_str(); 6].join(" and ");
         let entity = db.entity_key(0).to_string();
@@ -3230,7 +3001,7 @@ mod tests {
         // The warm probe repairs the stale column: only entity 0
         // recomputes, the other slots are reused verbatim.
         let repaired = db.degree_column(predicate);
-        let repaired_degrees = repaired.degrees().expect("exact").to_vec();
+        let repaired_degrees = repaired.degrees().to_vec();
         for e in 1..db.num_entities() {
             assert_eq!(
                 repaired_degrees[e].to_bits(),
@@ -3246,7 +3017,7 @@ mod tests {
         // Bit-identical to a cold rebuild at the new epoch.
         db.clear_caches();
         let cold = db.degree_column(predicate);
-        let cold_degrees = cold.degrees().expect("exact");
+        let cold_degrees = cold.degrees();
         for e in 0..db.num_entities() {
             assert_eq!(
                 repaired_degrees[e].to_bits(),
@@ -3254,6 +3025,28 @@ mod tests {
                 "entity {e}: repaired column diverged from a cold rebuild"
             );
         }
+    }
+
+    #[test]
+    fn traced_column_repair_counts_instead_of_panicking() {
+        let (_, db) = db();
+        let predicate = "clean rooms";
+        let _ = db.degree_column(predicate);
+        let entity = db.entity_key(2).to_string();
+        db.insert_sql(&format!(
+            "INSERT INTO reviews (entity, text) VALUES ('{entity}', 'spotless clean rooms')"
+        ))
+        .unwrap();
+        // Every served request arms a trace, so a repair under an armed
+        // trace is the serving layer's steady state after an INSERT.
+        let ctx = opine_trace::TraceContext::new();
+        let repaired = opine_trace::with_trace(Some(ctx.clone()), || db.degree_column(predicate));
+        assert_eq!(repaired.len(), db.num_entities());
+        let snapshot = ctx.snapshot();
+        let ta = snapshot
+            .stage("ta_topk")
+            .expect("the repair counts on ta_topk");
+        assert_eq!(ta.counter("cache_repairs"), 1, "{snapshot:?}");
     }
 
     #[test]

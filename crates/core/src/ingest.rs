@@ -188,10 +188,7 @@ impl PhraseMatcher {
             // lint:allow(checkpoint_coverage, reason = "bounded by the domains' variation count per anchor token, not by data volume")
             for &(attr, var, ref phrase) in candidates {
                 let fits = phrase.len() <= tokens.len() - start
-                    && phrase
-                        .iter()
-                        .zip(&tokens[start..])
-                        .all(|(p, t)| p == t);
+                    && phrase.iter().zip(&tokens[start..]).all(|(p, t)| p == t);
                 if fits && best.is_none_or(|(_, _, len)| phrase.len() > len) {
                     best = Some((attr, var, phrase.len()));
                 }

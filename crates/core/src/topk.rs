@@ -66,76 +66,7 @@ where
     C: AsRef<[f64]>,
     S: AsRef<[u32]>,
 {
-    assert_eq!(
-        columns.len(),
-        sorted.len(),
-        "one sorted order per degree column"
-    );
-    if columns.is_empty() || k == 0 {
-        return Vec::new();
-    }
-    let columns: Vec<&[f64]> = columns.iter().map(AsRef::as_ref).collect();
-    let sorted: Vec<&[u32]> = sorted.iter().map(AsRef::as_ref).collect();
-    let num_entities = columns[0].len();
-    let mut seen = vec![false; num_entities];
-    // Min-heap of the current top-k: the root is the candidate that would
-    // be evicted first (lowest score, then largest entity id).
-    let mut best: BinaryHeap<Reverse<Candidate>> = BinaryHeap::with_capacity(k + 1);
-    // Heap evictions are counted locally and flushed to the ambient
-    // trace once per call, so the loop body stays atomic-free.
-    let mut heap_pops = 0u64;
-
-    let depth_max = sorted.iter().map(|s| s.len()).max().unwrap_or(0);
-    for depth in 0..depth_max {
-        // Cancellation checkpoint per sorted-access depth: an expired
-        // request deadline unwinds out of the scan here instead of
-        // walking the remaining entities.
-        opine_faults::checkpoint();
-        // lint:allow(checkpoint_coverage, reason = "bounded by predicate count; the enclosing depth loop checkpoints once per sorted-access round")
-        for order in &sorted {
-            let Some(&entity) = order.get(depth) else {
-                continue;
-            };
-            let entity = entity as usize;
-            if seen[entity] {
-                continue;
-            }
-            seen[entity] = true;
-            let score: f64 = columns.iter().map(|c| c[entity]).product();
-            let candidate = Candidate { score, entity };
-            if best.len() < k {
-                best.push(Reverse(candidate));
-            } else if candidate > best.peek().expect("non-empty heap").0 {
-                best.pop();
-                heap_pops += 1;
-                best.push(Reverse(candidate));
-            }
-        }
-
-        // Threshold: product of the degrees at the current scan depth.
-        // Any unseen entity sits deeper in every sorted order, so its
-        // combined degree is bounded by this product.
-        let threshold: f64 = sorted
-            .iter()
-            .zip(&columns)
-            .map(|(order, column)| order.get(depth).map(|&e| column[e as usize]).unwrap_or(0.0))
-            .product();
-        // Strict inequality: at equality an unseen entity could still tie
-        // the k-th candidate and win the entity-id tiebreak.
-        if best.len() >= k && best.peek().expect("non-empty heap").0.score > threshold {
-            break;
-        }
-    }
-    if heap_pops != 0 {
-        opine_trace::count("ta_topk", "heap_pops", heap_pops);
-    }
-
-    let mut out: Vec<(usize, f64)> = best
-        .into_iter()
-        .map(|Reverse(c)| (c.entity, c.score))
-        .collect();
-    out.sort_by(rank_cmp);
-    out
+    threshold_topk_dense_filtered(columns, sorted, k, |_| true)
 }
 
 /// [`threshold_topk_dense`] with **restricted sorted access**: only
@@ -173,107 +104,65 @@ where
     }
     let columns: Vec<&[f64]> = columns.iter().map(AsRef::as_ref).collect();
     let sorted: Vec<&[u32]> = sorted.iter().map(AsRef::as_ref).collect();
-    let num_entities = columns[0].len();
-    ta_restricted(
-        &sorted,
-        num_entities,
-        |p, e| columns[p][e],
-        |e| columns.iter().map(|c| c[e]).product(),
-        is_candidate,
-        k,
-    )
+    ta_restricted(&columns, &sorted, is_candidate, k)
 }
 
-/// TA over **upper-bound** degree columns with exact rescoring — the
-/// quantized-column path. `sorted[p]` must be ordered by `upper(p, ·)`
-/// descending; `upper(p, e)` must over-approximate entity `e`'s true
-/// degree under predicate `p` (ceil quantization guarantees this);
-/// `exact` returns the exact combined degree and is called once per
-/// entity brought in by sorted access (the top-k *frontier* — rescoring
-/// cost is proportional to how deep TA scans, not to the corpus).
+/// The one TA scan loop behind both dense entry points.
 ///
-/// The result is the exact top-k: the heap ranks by exact scores, while
-/// the stopping threshold is the product of upper bounds at the
-/// cursors, which dominates any unseen entity's exact combined degree.
-pub fn threshold_topk_rescored<S, U, E, F>(
-    sorted: &[S],
-    num_entities: usize,
-    upper: U,
-    exact: E,
-    is_candidate: F,
-    k: usize,
-) -> Vec<(usize, f64)>
-where
-    S: AsRef<[u32]>,
-    U: Fn(usize, usize) -> f64,
-    E: FnMut(usize) -> f64,
-    F: Fn(usize) -> bool,
-{
-    if sorted.is_empty() || k == 0 {
-        return Vec::new();
-    }
-    let sorted: Vec<&[u32]> = sorted.iter().map(AsRef::as_ref).collect();
-    ta_restricted(&sorted, num_entities, upper, exact, is_candidate, k)
-}
-
-/// The shared TA engine behind the filtered and rescored entry points.
-///
-/// Invariants required of the inputs:
-/// * every sorted order contains **all** entity ids, descending by
-///   `upper(p, ·)` — so when one list runs out of candidates, every
-///   candidate has been seen and the scan can stop;
-/// * `upper(p, e)` ≥ entity `e`'s contribution to `exact(e)` under
-///   predicate `p`, with equality in the unquantized case.
-fn ta_restricted<U, E, F>(
+/// Every sorted order must contain **all** entity ids in
+/// descending-degree order, so when one list runs out of candidates,
+/// every candidate has been seen and the scan can stop. With an
+/// always-true `is_candidate` every cursor advances exactly one position
+/// per round, so the corrected bound below is the classic at-depth
+/// threshold.
+fn ta_restricted<F>(
+    columns: &[&[f64]],
     sorted: &[&[u32]],
-    num_entities: usize,
-    upper: U,
-    mut exact: E,
     is_candidate: F,
     k: usize,
 ) -> Vec<(usize, f64)>
 where
-    U: Fn(usize, usize) -> f64,
-    E: FnMut(usize) -> f64,
     F: Fn(usize) -> bool,
 {
-    let mut seen = vec![false; num_entities];
+    let mut seen = vec![false; columns[0].len()];
+    // Min-heap of the current top-k: the root is the candidate that would
+    // be evicted first (lowest score, then largest entity id).
     let mut best: BinaryHeap<Reverse<Candidate>> = BinaryHeap::with_capacity(k + 1);
-    // See `threshold_topk_dense`: flushed to the trace once per call.
+    // Heap evictions are counted locally and flushed to the ambient
+    // trace once per call, so the loop body stays atomic-free.
     let mut heap_pops = 0u64;
     let mut cursors = vec![0usize; sorted.len()];
-    // Degree upper bound of the last candidate accessed per list.
-    let mut bounds = vec![0.0f64; sorted.len()];
 
     'scan: loop {
-        // Cancellation checkpoint per sorted-access round (see
-        // `threshold_topk_dense`).
+        // Cancellation checkpoint per sorted-access round: an expired
+        // request deadline unwinds out of the scan here instead of
+        // walking the remaining entities.
         opine_faults::checkpoint();
-        for (p, order) in sorted.iter().enumerate() {
-            let mut cur = cursors[p];
-            while let Some(&e) = order.get(cur) {
+        // Corrected bound: the product of the degrees of the candidates
+        // this round accessed, one per list.
+        let mut threshold = 1.0f64;
+        for ((order, column), cursor) in sorted.iter().zip(columns).zip(&mut cursors) {
+            let entity = loop {
+                let Some(&e) = order.get(*cursor) else {
+                    // This list is out of candidates; since it covers
+                    // every entity, all candidates have been seen.
+                    break 'scan;
+                };
+                *cursor += 1;
                 if is_candidate(e as usize) {
-                    break;
+                    break e as usize;
                 }
                 // The non-candidate skip can walk a long sparse prefix;
                 // keep the deadline honest while it does.
                 opine_faults::checkpoint();
-                cur += 1;
-            }
-            let Some(&e) = order.get(cur) else {
-                // This list is out of candidates; since it covers every
-                // entity, all candidates have been seen.
-                break 'scan;
             };
-            cursors[p] = cur + 1;
-            let entity = e as usize;
-            bounds[p] = upper(p, entity);
+            threshold *= column[entity];
             if seen[entity] {
                 continue;
             }
             seen[entity] = true;
             let candidate = Candidate {
-                score: exact(entity),
+                score: columns.iter().map(|c| c[entity]).product(),
                 entity,
             };
             if best.len() < k {
@@ -285,9 +174,8 @@ where
             }
         }
 
-        let threshold: f64 = bounds.iter().product();
         // Strict inequality: at equality an unseen candidate could still
-        // tie the k-th exact score and win the entity-id tiebreak.
+        // tie the k-th score and win the entity-id tiebreak.
         if best.len() >= k && best.peek().expect("non-empty heap").0.score > threshold {
             break;
         }
@@ -599,52 +487,6 @@ mod tests {
         assert_eq!(top.len(), 1);
         assert_eq!(top[0].0, 4242);
         assert!((top[0].1 - 0.95 * 0.95).abs() < 1e-12);
-    }
-
-    /// Ceil quantization to `u16`, the upper-bound transform the
-    /// rescored TA is built for.
-    fn quantize(d: f64) -> f64 {
-        (d * 65535.0).ceil() / 65535.0
-    }
-
-    #[test]
-    fn rescored_ta_over_quantized_uppers_is_exact() {
-        let mut rng = StdRng::seed_from_u64(55);
-        for _ in 0..20 {
-            let n = 60;
-            let exact_cols: Vec<Vec<f64>> = (0..3)
-                .map(|_| (0..n).map(|_| rng.gen::<f64>()).collect())
-                .collect();
-            // Sorted orders come from the *quantized* views, as they
-            // would from a cached quantized column.
-            let sorted: Vec<Vec<u32>> = exact_cols
-                .iter()
-                .map(|col| {
-                    let mut order: Vec<u32> = (0..n as u32).collect();
-                    order.sort_by(|&a, &b| {
-                        quantize(col[b as usize])
-                            .total_cmp(&quantize(col[a as usize]))
-                            .then_with(|| a.cmp(&b))
-                    });
-                    order
-                })
-                .collect();
-            let mut rescores = 0usize;
-            let ta = threshold_topk_rescored(
-                &sorted,
-                n,
-                |p, e| quantize(exact_cols[p][e]),
-                |e| {
-                    rescores += 1;
-                    exact_cols.iter().map(|c| c[e]).product()
-                },
-                |_| true,
-                5,
-            );
-            let fs = full_scan_topk_dense(&exact_cols, 5);
-            assert_eq!(ta, fs, "rescored TA must return the exact top-k");
-            assert!(rescores <= n, "each entity rescored at most once");
-        }
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //! * `taxonomy_exhaustiveness` — emitted HTTP statuses and the JSON
 //!   error taxonomy cover each other exactly.
 //! * `lock_hold` — no lock guard held across another lock acquisition.
+//! * `trace_names` — every literal stage/counter name passed to the
+//!   trace API is declared in `STAGES`/`COUNTERS`.
 //!
 //! Escape hatch: `// lint:allow(<rule>, reason = "...")`. EOL placement
 //! covers that line; own-line placement covers the next construct
@@ -149,6 +151,7 @@ pub fn run_all(ws: &Workspace) -> Vec<Finding> {
     }
     findings.extend(rules::counter_parity(ws));
     findings.extend(rules::taxonomy_exhaustiveness(ws));
+    findings.extend(rules::trace_names(ws));
     findings.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.rule, a.message.as_str()).cmp(&(
             b.path.as_str(),

@@ -1,4 +1,4 @@
-//! The six invariant lints. Each rule is deny-by-default; escape hatches
+//! The seven invariant lints. Each rule is deny-by-default; escape hatches
 //! are `// lint:allow(<rule>, reason = "...")` (EOL for one line,
 //! own-line for the following construct) and, for ordering sites,
 //! `// sync: <what this orders>`.
@@ -17,6 +17,7 @@ pub const RULES: &[&str] = &[
     "no_panic_in_serve",
     "taxonomy_exhaustiveness",
     "lock_hold",
+    "trace_names",
 ];
 
 const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
@@ -342,10 +343,7 @@ fn parse_fields(db: &FileScan) -> Vec<(String, String, u32)> {
         if toks[j].kind == TokKind::Str
             && toks[j + 1].is_punct(',')
             && toks[j + 2].kind == TokKind::Ident
-            && matches!(
-                toks[j + 2].text.as_str(),
-                "Counter" | "Gauge" | "Flag" | "Cache"
-            )
+            && matches!(toks[j + 2].text.as_str(), "Counter" | "Gauge" | "Cache")
             && toks[j + 3].is_punct('(')
         {
             out.push((toks[j].text.clone(), toks[j + 2].text.clone(), toks[j].line));
@@ -454,49 +452,132 @@ pub fn counter_parity(ws: &Workspace) -> Vec<Finding> {
         .iter()
         .find(|f| f.path.ends_with(STAGES_FILE_SUFFIX))
     {
-        let toks = &tr.tokens;
-        if let Some(decl) = toks.iter().position(|t| t.is_ident("STAGES")) {
-            let mut stages: Vec<(String, u32)> = Vec::new();
-            let mut j = decl;
-            // Scan to the initializer `[` after `=`, then collect strings.
-            while j < toks.len() && !toks[j].is_punct('=') {
-                j += 1;
+        for (stage, line) in declared_names(tr, "STAGES") {
+            let opened = ws.files.iter().any(|f| {
+                !f.path.ends_with(STAGES_FILE_SUFFIX)
+                    && f.tokens.windows(3).any(|w| {
+                        w[0].is_ident("span")
+                            && w[1].is_punct('(')
+                            && w[2].kind == TokKind::Str
+                            && w[2].text == stage
+                            && !f.in_test(w[2].line)
+                    })
+            });
+            if opened || tr.allowed("counter_parity", line, line) {
+                continue;
             }
-            while j < toks.len() && !toks[j].is_punct('[') {
-                j += 1;
+            out.push(Finding {
+                path: tr.path.clone(),
+                line,
+                rule: "counter_parity",
+                message: format!(
+                    "trace stage \"{stage}\" is declared but never opened by a span() call"
+                ),
+                hint:
+                    "open the stage on the query path (ctx.span(\"...\")) or remove it from STAGES"
+                        .into(),
+            });
+        }
+    }
+
+    out
+}
+
+/// The string literals of the trace crate's `const <name> = [...]` table
+/// (`STAGES` or `COUNTERS`), with their lines.
+fn declared_names(tr: &FileScan, name: &str) -> Vec<(String, u32)> {
+    let toks = &tr.tokens;
+    let mut names = Vec::new();
+    let Some(decl) = toks.iter().position(|t| t.is_ident(name)) else {
+        return names;
+    };
+    // Scan to the initializer `[` after `=`, then collect strings.
+    let mut j = decl;
+    while j < toks.len() && !toks[j].is_punct('=') {
+        j += 1;
+    }
+    while j < toks.len() && !toks[j].is_punct('[') {
+        j += 1;
+    }
+    while j < toks.len() && !toks[j].is_punct(']') {
+        if toks[j].kind == TokKind::Str {
+            names.push((toks[j].text.clone(), toks[j].line));
+        }
+        j += 1;
+    }
+    names
+}
+
+/// trace-names: every string literal passed to `span(..)`, the free
+/// `count(stage, counter, n)`, or `SpanGuard::count(counter, n)` names a
+/// stage in `STAGES` / a counter in `COUNTERS` of the trace crate. The
+/// trace resolves names at runtime and panics on an unknown one — under
+/// an armed trace (every served request) that is a 500.
+pub fn trace_names(ws: &Workspace) -> Vec<Finding> {
+    let mut out = Vec::new();
+    let Some(tr) = ws
+        .files
+        .iter()
+        .find(|f| f.path.ends_with(STAGES_FILE_SUFFIX))
+    else {
+        return out;
+    };
+    let stages: HashSet<String> = declared_names(tr, "STAGES")
+        .into_iter()
+        .map(|(n, _)| n)
+        .collect();
+    let counters: HashSet<String> = declared_names(tr, "COUNTERS")
+        .into_iter()
+        .map(|(n, _)| n)
+        .collect();
+    for f in &ws.files {
+        let toks = &f.tokens;
+        for (i, t) in toks.iter().enumerate() {
+            let is_call = |name: &str| {
+                t.is_ident(name)
+                    && i + 2 < toks.len()
+                    && toks[i + 1].is_punct('(')
+                    && toks[i + 2].kind == TokKind::Str
+            };
+            let method = i > 0 && toks[i - 1].is_punct('.');
+            // (literal index, declared table, table name) per checked argument.
+            let mut args: Vec<(usize, &HashSet<String>, &str)> = Vec::new();
+            if is_call("span") {
+                args.push((i + 2, &stages, "STAGES"));
+            } else if is_call("count") && method {
+                args.push((i + 2, &counters, "COUNTERS"));
+            } else if is_call("count")
+                && i + 4 < toks.len()
+                && toks[i + 3].is_punct(',')
+                && toks[i + 4].kind == TokKind::Str
+            {
+                args.push((i + 2, &stages, "STAGES"));
+                args.push((i + 4, &counters, "COUNTERS"));
             }
-            let mut k = j;
-            while k < toks.len() && !toks[k].is_punct(']') {
-                if toks[k].kind == TokKind::Str {
-                    stages.push((toks[k].text.clone(), toks[k].line));
-                }
-                k += 1;
-            }
-            for (stage, line) in stages {
-                let opened = ws.files.iter().any(|f| {
-                    !f.path.ends_with(STAGES_FILE_SUFFIX)
-                        && f.tokens.windows(3).any(|w| {
-                            w[0].is_ident("span")
-                                && w[1].is_punct('(')
-                                && w[2].kind == TokKind::Str
-                                && w[2].text == stage
-                                && !f.in_test(w[2].line)
-                        })
-                });
-                if opened || tr.allowed("counter_parity", line, line) {
+            for (at, declared, table) in args {
+                let name = &toks[at].text;
+                let line = toks[at].line;
+                if declared.contains(name)
+                    || f.in_test(line)
+                    || f.allowed("trace_names", f.stmt_start_line(i), line)
+                {
                     continue;
                 }
                 out.push(Finding {
-                    path: tr.path.clone(),
+                    path: f.path.clone(),
                     line,
-                    rule: "counter_parity",
-                    message: format!("trace stage \"{stage}\" is declared but never opened by a span() call"),
-                    hint: "open the stage on the query path (ctx.span(\"...\")) or remove it from STAGES".into(),
+                    rule: "trace_names",
+                    message: format!(
+                        "trace name \"{name}\" passed to `{}` is not declared in {table}",
+                        t.text
+                    ),
+                    hint: format!(
+                        "add \"{name}\" to {table} in crates/trace/src/lib.rs, or use a declared name — an unknown name panics under an armed trace"
+                    ),
                 });
             }
         }
     }
-
     out
 }
 

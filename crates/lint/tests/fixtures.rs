@@ -184,6 +184,46 @@ pub fn run(ctx: &TraceContext) {
     assert!(findings[0].message.contains("never opened"));
 }
 
+/// A two-stage, two-counter trace crate for the `trace_names` fixtures.
+const TRACE_LIB: &str = r#"
+pub const STAGES: [&str; 2] = ["ta_topk", "rescore"];
+pub const COUNTERS: [&str; 2] = ["cache_hits", "scored"];
+"#;
+
+#[test]
+fn trace_names_fixture_pair() {
+    let path = "crates/core/src/db.rs";
+    let run = |src: &str| {
+        run_rule(
+            &ws(&[("crates/trace/src/lib.rs", TRACE_LIB), (path, src)]),
+            "trace_names",
+        )
+    };
+    let bad = run(include_str!("../fixtures/trace_names_bad.rs"));
+    assert_pointed(&bad, path, "trace_names");
+    assert_eq!(bad.len(), 3, "two unknown counters + one stage: {bad:#?}");
+    assert!(bad[0].message.contains("\"repaired\"") && bad[0].message.contains("COUNTERS"));
+    assert!(
+        bad[1].message.contains("\"cache_repairs\"") && bad[1].message.contains("COUNTERS"),
+        "the unknown counter mutant must be flagged: {bad:#?}"
+    );
+    assert!(bad[2].message.contains("\"merge\"") && bad[2].message.contains("STAGES"));
+
+    let ok = run(include_str!("../fixtures/trace_names_ok.rs"));
+    assert!(
+        ok.is_empty(),
+        "declared / dynamic / annotated twin must pass: {ok:#?}"
+    );
+
+    // Without the trace crate in view there is nothing to check against.
+    let alone = rule_findings(
+        path,
+        include_str!("../fixtures/trace_names_bad.rs"),
+        "trace_names",
+    );
+    assert!(alone.is_empty(), "{alone:#?}");
+}
+
 #[test]
 fn taxonomy_fixture_pair() {
     // The rule anchors on the service module path.

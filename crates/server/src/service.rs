@@ -44,7 +44,7 @@ use opine_store::{parse_insert, parse_statement, InsertStmt, Select, Statement, 
 use opine_trace::{TraceContext, TraceSnapshot};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufReader, BufWriter, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -245,10 +245,10 @@ impl OpineServer {
 
     /// The shared database handle.
     ///
-    /// Anything that changes query *results* through this handle — the
-    /// ablation toggles `set_use_markers` / `set_degree_cache` — must be
-    /// followed by [`Self::clear_result_cache`], or previously-served
-    /// statements keep replaying their pre-toggle response bodies.
+    /// The one engine setting that changes query *results* through this
+    /// handle — the markers ablation `set_use_markers` — must be followed
+    /// by [`Self::clear_result_cache`], or previously-served statements
+    /// keep replaying their pre-toggle response bodies.
     pub fn db(&self) -> &Arc<OpineDb> {
         &self.state.db
     }
@@ -589,8 +589,9 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
                 return;
             }
             Err(HttpError::PayloadTooLarge(n)) => {
-                // The oversized body is *not* drained: the 413 goes out
-                // with `Connection: close` and the socket drops, so an
+                // The 413 goes out off the headers alone, with
+                // `Connection: close`; the oversized body is then only
+                // discarded within the lingering-close bounds, so an
                 // abusive client cannot make a worker read gigabytes.
                 state.metrics.record(Endpoint::Other, false, 0);
                 let _ = http::write_response(
@@ -608,8 +609,39 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
                     false,
                     &[],
                 );
+                lingering_close(reader);
                 return;
             }
+        }
+    }
+}
+
+/// Most unread input a refused connection discards before closing.
+const LINGER_MAX_BYTES: usize = 4 * DEFAULT_MAX_BODY;
+/// Longest a refused connection waits for the client to stop sending.
+const LINGER_MAX_TIME: Duration = Duration::from_secs(2);
+
+/// Closes a connection whose client may still be sending a body we
+/// refused (nginx's `lingering_close`). Closing a socket with unread
+/// input makes the kernel answer with an RST, which can destroy the
+/// refusal before the client reads it. So: send FIN after the response,
+/// then read and discard until the client closes its side, or until
+/// [`LINGER_MAX_BYTES`] / [`LINGER_MAX_TIME`] run out.
+fn lingering_close(mut reader: BufReader<TcpStream>) {
+    if reader.get_ref().shutdown(Shutdown::Write).is_err() {
+        return;
+    }
+    let deadline = Instant::now() + LINGER_MAX_TIME;
+    let mut discarded = 0usize;
+    let mut sink = [0u8; 16 * 1024];
+    while discarded < LINGER_MAX_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || reader.get_ref().set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match reader.read(&mut sink) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => discarded += n,
         }
     }
 }
@@ -1205,7 +1237,6 @@ fn render_stats(state: &ServerState) -> String {
         out.push_str("\":");
         match value {
             MetricValue::Counter(n) | MetricValue::Gauge(n) => out.push_str(&n.to_string()),
-            MetricValue::Flag(b) => out.push_str(if b { "true" } else { "false" }),
             MetricValue::Cache(stats) => push_cache_stats(&mut out, stats),
         }
     }
@@ -1389,11 +1420,6 @@ fn render_prometheus(state: &ServerState) -> String {
                 let metric = format!("opine_{name}");
                 exp.family(&metric, "gauge", "Engine gauge (see /stats).");
                 exp.sample(&metric, &[], *n);
-            }
-            MetricValue::Flag(b) => {
-                let metric = format!("opine_{name}");
-                exp.family(&metric, "gauge", "Engine toggle (0/1, see /stats).");
-                exp.sample(&metric, &[], u64::from(*b));
             }
             MetricValue::Cache(_) => {}
         }

@@ -138,10 +138,15 @@ fn run_soak(server: &OpineServer, db: &Arc<OpineDb>, batches: usize) -> Vec<Vec<
                 .post("/insert", &query_body(&batch_sql(db, batch)))
                 .unwrap();
             assert_eq!(resp.status, 200, "{}", resp.body);
-            assert!(resp.body.contains(&format!("\"inserted\":{ROWS_PER_BATCH}")));
+            assert!(resp
+                .body
+                .contains(&format!("\"inserted\":{ROWS_PER_BATCH}")));
         }
         done.store(true, Ordering::Release);
-        readers.into_iter().map(|r| r.join().expect("reader")).collect()
+        readers
+            .into_iter()
+            .map(|r| r.join().expect("reader"))
+            .collect()
     })
 }
 

@@ -684,5 +684,9 @@ fn insert_serves_through_the_query_endpoint_and_rejections_are_400s() {
     assert_eq!(bad.status, 400, "{}", bad.body);
     assert!(bad.body.contains("bad_request"), "{}", bad.body);
     let stats = client.get("/stats").unwrap();
-    assert!(stats.body.contains("\"inserted_reviews\":1"), "{}", stats.body);
+    assert!(
+        stats.body.contains("\"inserted_reviews\":1"),
+        "{}",
+        stats.body
+    );
 }

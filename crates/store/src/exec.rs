@@ -152,6 +152,38 @@ impl SubjectiveScorer for ObjectiveOnly {
     }
 }
 
+/// The row-at-a-time reference plan of a scorer: `RowAtATime(&scorer)`
+/// forwards only the per-row degree calls and the review-qualified view,
+/// leaving [`SubjectiveScorer::prepare_predicates`] and
+/// [`SubjectiveScorer::rank_subjective_conjunction`] at their defaults.
+/// The executor then declines every fast path (no batch warm-up, no
+/// threshold-algorithm top-k, no pushdown) and scores each candidate row
+/// through [`SubjectiveScorer::degree_predicate`] — the oracle the
+/// equivalence suites compare the fast paths against.
+pub struct RowAtATime<S>(pub S);
+
+impl<S: SubjectiveScorer + ?Sized> SubjectiveScorer for RowAtATime<&S> {
+    fn degree_predicate(&self, predicate: &str, key: &Value) -> Result<f64, StoreError> {
+        self.0.degree_predicate(predicate, key)
+    }
+
+    fn degree_match(
+        &self,
+        attribute: &ColumnRef,
+        phrase: &str,
+        key: &Value,
+    ) -> Result<f64, StoreError> {
+        self.0.degree_match(attribute, phrase, key)
+    }
+
+    fn qualified_scorer<'s>(
+        &'s self,
+        qualifier: &ReviewQualifier,
+    ) -> Option<Box<dyn SubjectiveScorer + 's>> {
+        self.0.qualified_scorer(qualifier)
+    }
+}
+
 /// A ranked query result.
 #[derive(Debug, Clone)]
 pub struct ResultSet {
@@ -728,11 +760,7 @@ enum BuildRow {
 /// returns an owned copy. A mismatched tuple means the engine-side
 /// delta was built against a different schema — surface it rather than
 /// panicking on a slot read.
-fn checked_overlay_row(
-    table: &str,
-    row: &[Value],
-    width: usize,
-) -> Result<Vec<Value>, StoreError> {
+fn checked_overlay_row(table: &str, row: &[Value], width: usize) -> Result<Vec<Value>, StoreError> {
     if row.len() != width {
         return Err(StoreError::SchemaMismatch(format!(
             "{table}: overlay row has {} values, schema has {width} columns",
@@ -757,11 +785,7 @@ fn score_overlay_rows(
     let algebra = FuzzyAlgebra::Product;
     for row in overlay.rows_for(&query.from) {
         opine_faults::checkpoint();
-        let handle = RowHandle::Owned(checked_overlay_row(
-            &query.from,
-            row,
-            layout.slots.len(),
-        )?);
+        let handle = RowHandle::Owned(checked_overlay_row(&query.from, row, layout.slots.len())?);
         let score = match &query.where_clause {
             None => 1.0,
             Some(expr) => {
@@ -1318,6 +1342,39 @@ mod tests {
     }
 
     #[test]
+    fn row_at_a_time_adapter_declines_every_fast_path() {
+        let cat = hotel_catalog();
+        let scorer = Indexed::new();
+        for sql in [
+            "select * from hotels where \"clean rooms\" limit 2",
+            "select * from hotels where price_pn < 150 and \"clean rooms\" limit 10",
+        ] {
+            let q = parse_select(sql).unwrap();
+            let fast = execute(&q, &cat, &scorer).unwrap();
+            let pushdowns = scorer.pushdowns.get();
+            scorer.last_candidates.set(Some(usize::MAX));
+            let reference = execute(&q, &cat, &RowAtATime(&scorer)).unwrap();
+            assert_eq!(scorer.pushdowns.get(), pushdowns, "{sql}");
+            assert_eq!(
+                scorer.last_candidates.get(),
+                Some(usize::MAX),
+                "the reference must never reach the ranking hook: {sql}"
+            );
+            assert_eq!(fast.rows, reference.rows, "{sql}");
+        }
+        // The review-qualified view is forwarded, not declined.
+        let qualified =
+            parse_select("select * from hotels where \"clean rooms\" with reviews(year >= 2015)")
+                .unwrap();
+        assert_eq!(
+            execute(&qualified, &cat, &RowAtATime(&Scoping))
+                .unwrap()
+                .rows,
+            execute(&qualified, &cat, &Scoping).unwrap().rows
+        );
+    }
+
+    #[test]
     fn order_by_disables_the_pushdown_but_keeps_the_prefilter() {
         let cat = hotel_catalog();
         let scorer = Indexed::new();
@@ -1587,7 +1644,10 @@ mod tests {
         let r = execute_with_overlay(&q, &cat, &scorer, Some(&overlay)).unwrap();
         assert_eq!(r.rows.len(), 2);
         assert!((r.rows[0].1 - 0.9).abs() < 1e-12);
-        assert!((r.rows[1].1 - 0.9).abs() < 1e-12, "delta row outranks Plaza");
+        assert!(
+            (r.rows[1].1 - 0.9).abs() < 1e-12,
+            "delta row outranks Plaza"
+        );
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use catalog::Catalog;
 pub use column::ColumnData;
 pub use exec::{
     execute, execute_lazy, execute_lazy_with_overlay, execute_with_overlay, FuzzyAlgebra,
-    ObjectiveOnly, ProjectedValues, ResultSet, ScoredRows, SubjectiveScorer,
+    ObjectiveOnly, ProjectedValues, ResultSet, RowAtATime, ScoredRows, SubjectiveScorer,
 };
 pub use overlay::TableOverlay;
 pub use parser::{parse_insert, parse_select, parse_statement, ParseError, Statement};

@@ -820,7 +820,13 @@ mod tests {
         assert_eq!(ins.table, "reviews");
         assert_eq!(
             ins.columns,
-            ["review_id", "entity", "reviewer_id", "year", "helpful_votes"]
+            [
+                "review_id",
+                "entity",
+                "reviewer_id",
+                "year",
+                "helpful_votes"
+            ]
         );
         assert_eq!(ins.rows.len(), 1);
         assert_eq!(
@@ -839,16 +845,19 @@ mod tests {
 
     #[test]
     fn parses_multi_row_insert_without_column_list() {
-        let ins = parse_insert(
-            "insert into t values (1, 'a', true, null), (2, 'b', false, 1.5)",
-        )
-        .unwrap();
+        let ins = parse_insert("insert into t values (1, 'a', true, null), (2, 'b', false, 1.5)")
+            .unwrap();
         assert_eq!(ins.table, "t");
         assert!(ins.columns.is_empty());
         assert_eq!(ins.rows.len(), 2);
         assert_eq!(
             ins.rows[0],
-            vec![Value::Int(1), Value::text("a"), Value::Bool(true), Value::Null]
+            vec![
+                Value::Int(1),
+                Value::text("a"),
+                Value::Bool(true),
+                Value::Null
+            ]
         );
         assert_eq!(ins.rows[1][3], Value::Float(1.5));
     }

@@ -139,12 +139,7 @@ fn concurrent_column_builds_are_consistent() {
         let handles: Vec<_> = (0..THREADS)
             .map(|_| {
                 let db = db.clone();
-                s.spawn(move || {
-                    db.degree_column("clean rooms")
-                        .degrees()
-                        .expect("exact columns by default")
-                        .to_vec()
-                })
+                s.spawn(move || db.degree_column("clean rooms").degrees().to_vec())
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()

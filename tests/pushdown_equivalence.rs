@@ -9,7 +9,8 @@ use opinedb::store::ast::ColumnRef;
 use opinedb::store::exec::SubjectiveScorer;
 use opinedb::store::parser::parse_select;
 use opinedb::store::{
-    execute, execute_lazy, Bitmap, Catalog, Column, ColumnType, Schema, StoreError, Value,
+    execute, execute_lazy, Bitmap, Catalog, Column, ColumnType, RowAtATime, Schema, StoreError,
+    Value,
 };
 use proptest::prelude::*;
 use std::cell::Cell;
@@ -24,14 +25,11 @@ struct SyntheticIndex {
     degrees: Vec<Vec<f64>>,
     sorted: Vec<Vec<u32>>,
     keys: Vec<String>,
-    /// When false the scorer has "no index": the executor falls back to
-    /// row-at-a-time scoring of the candidates.
-    use_index: bool,
     pushdowns: Cell<u32>,
 }
 
 impl SyntheticIndex {
-    fn new(degrees: Vec<Vec<f64>>, keys: Vec<String>, use_index: bool) -> Self {
+    fn new(degrees: Vec<Vec<f64>>, keys: Vec<String>) -> Self {
         let sorted = degrees
             .iter()
             .map(|col| {
@@ -48,7 +46,6 @@ impl SyntheticIndex {
             degrees,
             sorted,
             keys,
-            use_index,
             pushdowns: Cell::new(0),
         }
     }
@@ -89,9 +86,6 @@ impl SubjectiveScorer for SyntheticIndex {
         k: usize,
         candidates: Option<&Bitmap>,
     ) -> Option<Vec<(Value, f64)>> {
-        if !self.use_index {
-            return None;
-        }
         let columns: Vec<&[f64]> = predicates
             .iter()
             .map(|p| self.predicate_index(p).map(|i| self.degrees[i].as_slice()))
@@ -170,13 +164,15 @@ proptest! {
         }
         let query = parse_select(&sql).unwrap();
 
-        let indexed = SyntheticIndex::new(degrees.clone(), keys.clone(), true);
-        let naive = SyntheticIndex::new(degrees, keys, false);
+        let indexed = SyntheticIndex::new(degrees, keys);
+        // The reference plan over the same scorer: the executor's
+        // row-at-a-time scoring of the candidates.
+        let naive = RowAtATime(&indexed);
 
         let fast = execute(&query, &cat, &indexed).unwrap();
-        let slow = execute(&query, &cat, &naive).unwrap();
         prop_assert!(indexed.pushdowns.get() == 1, "pushdown must fire for {}", sql);
-        prop_assert_eq!(naive.pushdowns.get(), 0);
+        let slow = execute(&query, &cat, &naive).unwrap();
+        prop_assert!(indexed.pushdowns.get() == 1, "the reference must not push down: {}", sql);
 
         prop_assert!(fast.rows.len() == slow.rows.len(), "{}", sql);
         for (i, ((frow, fscore), (srow, sscore))) in
@@ -192,7 +188,8 @@ proptest! {
 
         // The borrowing path agrees with the materializing path on both
         // scorers.
-        for (scorer, reference) in [(&indexed, &fast), (&naive, &slow)] {
+        let scorers: [(&dyn SubjectiveScorer, _); 2] = [(&indexed, &fast), (&naive, &slow)];
+        for (scorer, reference) in scorers {
             let lazy = execute_lazy(&query, &cat, scorer).unwrap();
             prop_assert_eq!(lazy.len(), reference.rows.len());
             for (i, (row, score)) in reference.rows.iter().enumerate() {
@@ -204,8 +201,9 @@ proptest! {
     }
 }
 
-/// End-to-end: the same equivalence through a real `OpineDb` — pushdown
-/// on vs pushdown off vs degree caches off — over the paper's
+/// End-to-end: the same equivalence through a real `OpineDb` — the
+/// pushdown plan vs the `RowAtATime` reference plan over warm degree
+/// columns vs the same reference on cold caches — over the paper's
 /// running-example shape at several selectivities.
 #[test]
 fn opinedb_pushdown_matches_naive_end_to_end() {
@@ -240,16 +238,31 @@ fn opinedb_pushdown_matches_naive_end_to_end() {
         "select * from hotels where price_pn < 10000 and \"clean rooms\" and \"friendly staff\"",
         "select hotelname from hotels where price_pn < 150 and \"clean rooms\"",
     ];
+    let fast_path_counters = || {
+        let report = db.cache_report();
+        (report.ta_queries, report.pushdown_queries)
+    };
     for sql in queries {
         let fast = db.query(sql).expect("pushdown query");
-        db.set_objective_pushdown(false);
-        let row_at_a_time = db.query(sql).expect("row-at-a-time query");
-        db.set_objective_pushdown(true);
-        db.set_degree_cache(false);
-        let uncached = db.query(sql).expect("uncached query");
-        db.set_degree_cache(true);
+        let select = parse_select(sql).unwrap();
+        let counters = fast_path_counters();
+        let reference = || opinedb::core::QueryOutput {
+            result: execute(&select, db.catalog(), &RowAtATime(&db)).expect("reference query"),
+            interpretations: Vec::new(),
+        };
+        let row_at_a_time = reference();
+        db.clear_caches();
+        let uncached = reference();
+        assert_eq!(
+            fast_path_counters(),
+            counters,
+            "the reference runs must not take the TA or pushdown path: {sql}"
+        );
 
-        for (label, reference) in [("pushdown-off", &row_at_a_time), ("cache-off", &uncached)] {
+        for (label, reference) in [
+            ("warm-reference", &row_at_a_time),
+            ("cold-reference", &uncached),
+        ] {
             assert_eq!(
                 fast.result.rows.len(),
                 reference.result.rows.len(),
