@@ -1,10 +1,12 @@
 //! A minimal blocking HTTP/1.1 client for loopback use: the integration
 //! tests, the throughput bench, and ad-hoc driving of a local server.
 //! Keep-alive by default — one `HttpClient` can issue many requests over
-//! a single connection.
+//! a single connection, and it reconnects transparently after a response
+//! that carries `Connection: close` (the server ends a connection after
+//! its per-connection request budget).
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// A parsed response.
@@ -31,21 +33,45 @@ impl ClientResponse {
 /// A keep-alive connection to one server.
 #[derive(Debug)]
 pub struct HttpClient {
+    /// The server address the connection was opened to, for reconnects.
+    addr: SocketAddr,
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The last response said `Connection: close`: the server is done
+    /// with this socket, so the next request opens a fresh one.
+    closed: bool,
 }
 
 impl HttpClient {
     /// Connects to `addr`.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<HttpClient> {
         let stream = TcpStream::connect(addr)?;
+        let addr = stream.peer_addr()?;
+        let (reader, writer) = Self::open(stream)?;
+        Ok(HttpClient {
+            addr,
+            reader,
+            writer,
+            closed: false,
+        })
+    }
+
+    fn open(stream: TcpStream) -> io::Result<(BufReader<TcpStream>, TcpStream)> {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(HttpClient {
-            reader,
-            writer: stream,
-        })
+        Ok((BufReader::new(stream.try_clone()?), stream))
+    }
+
+    /// Replaces the connection with a fresh one when the server closed
+    /// the current one.
+    fn reconnect_if_closed(&mut self) -> io::Result<()> {
+        if self.closed {
+            let (reader, writer) = Self::open(TcpStream::connect(self.addr)?)?;
+            self.reader = reader;
+            self.writer = writer;
+            self.closed = false;
+        }
+        Ok(())
     }
 
     /// Issues a GET.
@@ -67,6 +93,7 @@ impl HttpClient {
         body: Option<&str>,
     ) -> io::Result<ClientResponse> {
         let body = body.unwrap_or("");
+        self.reconnect_if_closed()?;
         write!(
             self.writer,
             "{method} {path} HTTP/1.1\r\nhost: localhost\r\ncontent-length: {}\r\n\r\n",
@@ -94,6 +121,7 @@ impl HttpClient {
                 body.len()
             ));
         }
+        self.reconnect_if_closed()?;
         self.writer.write_all(batch.as_bytes())?;
         self.writer.flush()?;
         (0..n).map(|_| self.read_response()).collect()
@@ -144,6 +172,9 @@ impl HttpClient {
         self.reader.read_exact(&mut body)?;
         let body = String::from_utf8(body)
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 body"))?;
+        self.closed = headers
+            .iter()
+            .any(|(k, v)| k == "connection" && v.eq_ignore_ascii_case("close"));
         Ok(ClientResponse {
             status,
             headers,

@@ -598,6 +598,29 @@ fn shutdown_is_prompt_with_idle_keepalive_connections() {
 }
 
 #[test]
+fn client_reconnects_after_the_per_connection_request_budget() {
+    let server = OpineServer::bind(
+        "127.0.0.1:0",
+        small_db(),
+        ServerConfig {
+            workers: 2,
+            max_requests_per_conn: 2,
+            ..Default::default()
+        },
+    )
+    .expect("bind ephemeral port");
+    // Every second response carries `Connection: close`; the client must
+    // open a new connection instead of writing into the closed one.
+    let mut client = HttpClient::connect(server.local_addr()).unwrap();
+    for i in 0..5 {
+        let resp = client
+            .get("/healthz")
+            .unwrap_or_else(|e| panic!("request {i}: {e}"));
+        assert_eq!(resp.status, 200, "request {i}");
+    }
+}
+
+#[test]
 fn oversized_body_gets_413_and_huge_results_still_serve() {
     let server = serve(small_db());
     let mut client = HttpClient::connect(server.local_addr()).unwrap();
