@@ -36,7 +36,7 @@ fn lr_accuracy(db: &OpineDb, corpus: &Corpus, seed: u64) -> (f64, f64) {
         let q_sent = db.sentiment().score(&p.text);
         marker_tuples.push((
             marker_features(
-                db.summary(e, p.gold_aspect),
+                &db.summary(e, p.gold_aspect),
                 db.marker_set(p.gold_aspect),
                 &q_rep,
                 q_sent,

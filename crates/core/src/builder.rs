@@ -10,7 +10,8 @@ use crate::db::{OpineDb, PhraseOcc, ReviewMeta};
 use crate::domain::LinguisticDomain;
 use crate::interpret::{Interpreter, InterpreterConfig, ReviewDigest};
 use crate::membership::{marker_features, scan_features, MembershipModel};
-use crate::summary::{AssignMode, MarkerSet, MarkerSummary, SummaryKind};
+use crate::record::{build_records, reviewer_review_counts};
+use crate::summary::{AssignMode, MarkerSet, SummaryKind};
 use opine_corpus::spec::AspectKind;
 use opine_corpus::workload::build_workload;
 use opine_corpus::Corpus;
@@ -175,50 +176,35 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
         })
         .collect();
 
-    // ---- 5. Summaries + raw digests + review digests ----
-    let mut summaries: Vec<Vec<MarkerSummary>> = corpus
-        .entities
+    // ---- 5. Entity records (summaries, raw occurrences, partials) + review digests ----
+    let review_meta: Vec<ReviewMeta> = corpus
+        .reviews
         .iter()
-        .map(|_| {
-            marker_sets
-                .iter()
-                .map(|s| MarkerSummary::empty(s.markers.len()))
-                .collect()
+        .map(|r| ReviewMeta {
+            entity_id: r.entity_id,
+            reviewer_id: r.reviewer_id,
+            year: r.year,
+            helpful_votes: r.helpful_votes,
         })
         .collect();
-    let mut raw: Vec<Vec<Vec<PhraseOcc>>> = corpus
-        .entities
-        .iter()
-        .map(|_| (0..num_attrs).map(|_| Vec::new()).collect())
-        .collect();
+    let reviewer_counts = reviewer_review_counts(&review_meta);
+    let mut entity_occs: Vec<Vec<(usize, PhraseOcc)>> = vec![Vec::new(); corpus.entities.len()];
     let mut review_digest: ReviewDigest = Vec::with_capacity(corpus.reviews.len());
-
     for (review, extractions) in corpus.reviews.iter().zip(&review_extractions) {
         let mut digest = Vec::with_capacity(extractions.len());
         for (attr, opinion) in extractions {
-            let variation = opinion_domains[*attr]
-                .get(opinion)
-                .expect("observed variation");
-            let senti = variation.sentiment;
-            summaries[review.entity_id][*attr].add_phrase(
-                opinion,
-                &variation.rep,
-                senti,
-                &marker_sets[*attr],
-                config.assign,
-                config.unmatched_threshold,
-                review.id,
-            );
             let var_idx = opinion_domains[*attr]
-                .variations()
-                .iter()
-                .position(|v| v.phrase == *opinion)
-                .expect("variation index");
-            raw[review.entity_id][*attr].push(PhraseOcc {
-                variation: var_idx,
-                sentiment: senti,
-                review_id: review.id,
-            });
+                .index_of(opinion)
+                .expect("observed variation");
+            let variation = &opinion_domains[*attr].variations()[var_idx];
+            entity_occs[review.entity_id].push((
+                *attr,
+                PhraseOcc {
+                    variation: var_idx,
+                    sentiment: variation.sentiment,
+                    review_id: review.id,
+                },
+            ));
             let marker = marker_sets[*attr]
                 .assign(&variation.rep, AssignMode::Best)
                 .first()
@@ -228,6 +214,14 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
         }
         review_digest.push(digest);
     }
+    let records = build_records(
+        &entity_occs,
+        &review_meta,
+        &reviewer_counts,
+        &opinion_domains,
+        &marker_sets,
+        config,
+    );
 
     // ---- 6. IR indexes ----
     let mut review_index = InvertedIndex::new();
@@ -276,14 +270,14 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
         let attr = p.gold_aspect;
         marker_tuples.push((
             marker_features(
-                &summaries[e][attr],
+                &records[e].summaries[attr],
                 &interpreter.marker_sets()[attr],
                 &q_rep,
                 q_sent,
             ),
             label,
         ));
-        let phrase_refs: Vec<(&[f32], f64)> = raw[e][attr]
+        let phrase_refs: Vec<(&[f32], f64)> = records[e].occs[attr]
             .iter()
             .map(|occ| {
                 (
@@ -383,17 +377,6 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
             .expect("schema matches");
     }
 
-    let review_meta: Vec<ReviewMeta> = corpus
-        .reviews
-        .iter()
-        .map(|r| ReviewMeta {
-            entity_id: r.entity_id,
-            reviewer_id: r.reviewer_id,
-            year: r.year,
-            helpful_votes: r.helpful_votes,
-        })
-        .collect();
-
     OpineDb::assemble(
         corpus.spec.aspects.iter().map(|a| a.name.clone()).collect(),
         vocab,
@@ -401,8 +384,7 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
         sentiment,
         opinion_domains,
         interpreter,
-        summaries,
-        raw,
+        records,
         membership_markers,
         membership_scan,
         entity_index,
@@ -410,6 +392,7 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
         entity_table.to_string(),
         entity_keys,
         review_meta,
+        reviewer_counts,
         config.clone(),
     )
 }

@@ -7,11 +7,12 @@
 use crate::builder::BuildConfig;
 use crate::cache::{BoundedCache, CacheStats};
 use crate::domain::LinguisticDomain;
-use crate::ingest::{DeltaState, IngestReceipt, IngestState, PhraseMatcher, Pin};
+use crate::ingest::{DataPlane, IngestReceipt, IngestState, PhraseMatcher, Pin};
 use crate::interpret::{Interpretation, Interpreter};
 use crate::membership::{marker_features, scan_features, MembershipModel};
 use crate::par;
-use crate::summary::{MarkerSet, MarkerSummary, PhraseContribution};
+use crate::record::{occ_contribution, EntityRecord};
+use crate::summary::{MarkerSet, MarkerSummary};
 use crate::topk::{threshold_topk_dense, threshold_topk_dense_filtered};
 use opine_embed::PhraseEmbedder;
 use opine_ir::{Bm25Params, InvertedIndex};
@@ -23,7 +24,7 @@ use opine_store::{
     InsertStmt, ResultSet, ReviewQualifier, ScoredRows, Select, StoreError, Value,
 };
 use opine_text::{Vocab, WordId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, OnceLock};
 
@@ -244,13 +245,17 @@ pub struct PreparedPhrase {
 pub struct DegreeColumn {
     degrees: Vec<f64>,
     sorted: OnceLock<Vec<u32>>,
+    /// Whether the degrees read the delta text index (text-fallback
+    /// predicates), which every merge moves.
+    reads_text: bool,
 }
 
 impl DegreeColumn {
-    fn new(degrees: Vec<f64>) -> Self {
+    fn new(degrees: Vec<f64>, reads_text: bool) -> Self {
         DegreeColumn {
             degrees,
             sorted: OnceLock::new(),
+            reads_text,
         }
     }
 
@@ -276,15 +281,15 @@ impl DegreeColumn {
 
     /// A copy with the given `(entity, degree)` slots replaced — the
     /// live-ingest cache-repair path, which recomputes only the entities
-    /// whose delta version moved past the cached column's epoch stamp
-    /// instead of rebuilding all of them. The sorted order is recomputed
-    /// lazily by the new column.
+    /// that changed after the cached column's epoch stamp instead of
+    /// rebuilding all of them. The sorted order is recomputed lazily by
+    /// the new column.
     fn patched(&self, updates: &[(usize, f64)]) -> DegreeColumn {
         let mut degrees = self.degrees.clone();
         for &(entity, degree) in updates {
             degrees[entity] = degree;
         }
-        DegreeColumn::new(degrees)
+        DegreeColumn::new(degrees, self.reads_text)
     }
 
     /// Entity ids in descending-degree order (ties by entity id). Sorted
@@ -310,121 +315,6 @@ impl DegreeColumn {
 struct EntityRowMaps {
     entity_to_row: Vec<u32>,
     row_to_entity: Vec<u32>,
-}
-
-/// One bucket atom of the partitioned review-qualified summaries:
-/// every raw occurrence of one `(entity, attribute)` whose source
-/// review shares a publication year and a reviewer-degree bucket
-/// (`⌊log2(reviews the author wrote)⌋`). The atom spans a `[start,
-/// end)` range of exact-degree sub-partials inside the cell's flat
-/// accumulator store ([`CellPartials`]).
-///
-/// A bucket-aligned qualifier merges whole atoms without looking at
-/// individual degrees; a min-degree threshold that cuts *through* the
-/// bucket (the paper's "at least 10 hotels" cuts `[8, 16)`) resolves
-/// just that atom's sub-partials — no raw occurrence is ever
-/// re-aggregated at query time.
-#[derive(Debug)]
-struct PartialAtom {
-    /// Publication year shared by this atom's occurrences.
-    year: u32,
-    /// `⌊log2(author review count)⌋` shared by this atom's occurrences.
-    degree_bucket: u8,
-    /// Sub-partial range `[start, end)` in the cell's flat store.
-    start: u32,
-    end: u32,
-}
-
-/// Flat per-`(entity, attribute)` store of the partial summaries, laid
-/// out struct-of-arrays: sub-partial `s` owns `counts_q[s·k ..
-/// (s+1)·k]` and `senti_q[s·k .. (s+1)·k]` (k = markers of the
-/// attribute). Contiguous accumulators keep the qualifier merge loop
-/// sequential in memory — merging a sub-partial is two k-element slice
-/// additions, not a pointer chase through per-summary heap
-/// allocations. Fixed-point accumulation (see `core::summary`) makes
-/// any merge order bit-identical to the from-scratch rebuild.
-#[derive(Debug, Default)]
-struct CellPartials {
-    /// Bucket atoms, sorted by (year, degree bucket); ranges index the
-    /// arrays below.
-    atoms: Vec<PartialAtom>,
-    /// Exact reviewer degree per sub-partial (ascending within an
-    /// atom).
-    degrees: Vec<u32>,
-    /// Total phrase count per sub-partial.
-    totals: Vec<f64>,
-    /// Unmatched phrase count per sub-partial.
-    unmatcheds: Vec<f64>,
-    /// Quantized per-marker mass, `subs × k`.
-    counts_q: Vec<i64>,
-    /// Quantized per-marker `Σ sentiment·weight`, `subs × k`.
-    senti_q: Vec<i64>,
-}
-
-impl CellPartials {
-    /// Merges sub-partial `s` into `out`.
-    #[inline]
-    fn merge_sub(&self, s: usize, k: usize, out: &mut MarkerSummary) {
-        out.merge_quantized(
-            &self.counts_q[s * k..(s + 1) * k],
-            &self.senti_q[s * k..(s + 1) * k],
-            self.totals[s],
-            self.unmatcheds[s],
-        );
-    }
-}
-
-/// Degree bucket of a reviewer who wrote `count` reviews.
-#[inline]
-fn degree_bucket(count: u32) -> u8 {
-    count.max(1).ilog2() as u8
-}
-
-/// Resolves one raw occurrence into its summary contribution — the one
-/// shared aggregation step of the build-time partials, the bucket-merge
-/// straddle refinement, and the raw-scan rebuild. Sharing it (and the
-/// fixed-point accumulators underneath) is what makes every route
-/// produce bit-identical summaries.
-fn occ_contribution<'a>(
-    domain: &'a LinguisticDomain,
-    markers: &MarkerSet,
-    config: &BuildConfig,
-    occ: &PhraseOcc,
-) -> PhraseContribution<'a> {
-    let variation = &domain.variations()[occ.variation];
-    PhraseContribution::compute(
-        &variation.phrase,
-        &variation.rep,
-        occ.sentiment,
-        markers,
-        config.assign,
-        config.unmatched_threshold,
-        occ.review_id,
-    )
-}
-
-/// How a min-degree threshold relates to one degree bucket.
-enum BucketCut {
-    /// Every reviewer in the bucket meets the threshold.
-    Full,
-    /// No reviewer in the bucket meets the threshold.
-    Out,
-    /// The threshold cuts through the bucket; the atom's exact-degree
-    /// sub-partials resolve it.
-    Straddle,
-}
-
-fn classify_bucket(bucket: u8, min_count: u32) -> BucketCut {
-    let lo: u32 = 1 << bucket;
-    // Upper bound of the bucket, saturating for the top bucket.
-    let hi: u32 = lo.saturating_mul(2).saturating_sub(1);
-    if min_count <= lo {
-        BucketCut::Full
-    } else if min_count > hi {
-        BucketCut::Out
-    } else {
-        BucketCut::Straddle
-    }
 }
 
 /// An interpretation with its query-side work hoisted out of the
@@ -470,8 +360,6 @@ pub struct OpineDb {
     sentiment: SentimentAnalyzer,
     opinion_domains: Vec<LinguisticDomain>,
     interpreter: Interpreter,
-    summaries: Vec<Vec<MarkerSummary>>,
-    raw: Vec<Vec<Vec<PhraseOcc>>>,
     membership_markers: MembershipModel,
     membership_scan: MembershipModel,
     entity_index: InvertedIndex,
@@ -479,18 +367,12 @@ pub struct OpineDb {
     entity_table: String,
     entity_keys: Vec<String>,
     key_to_entity: HashMap<String, usize>,
+    /// Metadata of the built reviews, indexed by review id.
     review_meta: Vec<ReviewMeta>,
-    /// Reviews aggregated per entity, precomputed at build time (the
-    /// old `review_count` walked every review per call).
-    entity_review_counts: Vec<u32>,
-    /// Reviews written per reviewer id — the degree the qualifier's
-    /// `reviewer_min_count` thresholds compare against.
+    /// Built reviews written per reviewer id — with the inserted ones,
+    /// the degree the qualifier's `reviewer_min_count` thresholds
+    /// compare against.
     reviewer_counts: Vec<u32>,
-    /// Per `(entity, attribute)`: raw occurrences partitioned by
-    /// `(year, reviewer degree)` into mergeable partial summaries,
-    /// grouped into log2-degree bucket atoms over a flat accumulator
-    /// store.
-    partials: Vec<Vec<CellPartials>>,
     config: BuildConfig,
     /// Predicate → dense degree column over all entities, with its sorted
     /// order, stamped with the data epoch it was built (or last repaired)
@@ -501,7 +383,8 @@ pub struct OpineDb {
     /// `(entity, predicate)` → epoch-stamped degree memo for the lazy
     /// point path taken by mixed queries, where an objective filter
     /// admits few rows and a full column build would be wasted work.
-    point_cache: BoundedCache<(u64, f64)>,
+    /// The flag records whether the degree read the delta text index.
+    point_cache: BoundedCache<(u64, f64, bool)>,
     /// Phrase → normalized embedding + sentiment, shared by the
     /// interpretation, marker-match (`attr .= "phrase"`), and column
     /// scoring paths.
@@ -526,8 +409,8 @@ pub struct OpineDb {
     /// Queries cancelled by an expired deadline (mapped to
     /// [`OpineError::QueryTimeout`] at the query entry).
     timed_out_queries: std::sync::atomic::AtomicU64,
-    /// Live ingest: the published delta generation, the writer lock,
-    /// and the ingest counters.
+    /// The data plane: the published generation of entity records and
+    /// inserted rows, the writer lock, and the ingest counters.
     ingest: IngestState,
 }
 
@@ -541,8 +424,7 @@ impl OpineDb {
         sentiment: SentimentAnalyzer,
         opinion_domains: Vec<LinguisticDomain>,
         interpreter: Interpreter,
-        summaries: Vec<Vec<MarkerSummary>>,
-        raw: Vec<Vec<Vec<PhraseOcc>>>,
+        records: Vec<Arc<EntityRecord>>,
         membership_markers: MembershipModel,
         membership_scan: MembershipModel,
         entity_index: InvertedIndex,
@@ -550,6 +432,7 @@ impl OpineDb {
         entity_table: String,
         entity_keys: Vec<String>,
         review_meta: Vec<ReviewMeta>,
+        reviewer_counts: Vec<u32>,
         config: BuildConfig,
     ) -> Self {
         let key_to_entity = entity_keys
@@ -557,85 +440,6 @@ impl OpineDb {
             .enumerate()
             .map(|(i, k)| (k.clone(), i))
             .collect();
-
-        // Per-entity and per-reviewer review counts, both needed at
-        // query time: the former answers `review_count` in O(1), the
-        // latter resolves reviewer-degree thresholds.
-        let mut entity_review_counts = vec![0u32; entity_keys.len()];
-        let max_reviewer = review_meta.iter().map(|m| m.reviewer_id).max();
-        let mut reviewer_counts = vec![0u32; max_reviewer.map_or(0, |m| m + 1)];
-        // lint:allow(checkpoint_coverage, reason = "construction path; no request deadline is armed during build")
-        for meta in &review_meta {
-            if let Some(c) = entity_review_counts.get_mut(meta.entity_id) {
-                *c += 1;
-            }
-            reviewer_counts[meta.reviewer_id] += 1;
-        }
-
-        // Partition every raw occurrence by (year, reviewer degree)
-        // into mergeable partial summaries, grouped into log2-degree
-        // bucket atoms over a flat accumulator store. Contributions are
-        // resolved through the same fixed-point path the full summaries
-        // and the rebuild fallback use, so merging partials reproduces
-        // either bit-for-bit. Entities are independent, so the
-        // construction fans out over entity chunks like the degree
-        // columns do.
-        let marker_sets = interpreter.marker_sets();
-        let partials: Vec<Vec<CellPartials>> = par::par_map(raw.len(), |entity| {
-            raw[entity]
-                .iter()
-                .enumerate()
-                .map(|(attr, occs)| {
-                    let k = marker_sets[attr].markers.len();
-                    // (year, exact degree) → partial, in key order.
-                    let mut subs: std::collections::BTreeMap<(u32, u32), MarkerSummary> =
-                        std::collections::BTreeMap::new();
-                    // lint:allow(checkpoint_coverage, reason = "construction path; no request deadline is armed during build")
-                    for occ in occs {
-                        let meta = &review_meta[occ.review_id];
-                        let degree = reviewer_counts[meta.reviewer_id];
-                        let partial = subs
-                            .entry((meta.year, degree))
-                            .or_insert_with(|| MarkerSummary::empty(k));
-                        let contribution = occ_contribution(
-                            &opinion_domains[attr],
-                            &marker_sets[attr],
-                            &config,
-                            occ,
-                        );
-                        partial.apply(&contribution, false);
-                    }
-                    // Flatten into the SoA store; BTreeMap order
-                    // keeps sub-partials sorted by degree within
-                    // each (year, bucket) atom run.
-                    let mut cell = CellPartials::default();
-                    // lint:allow(checkpoint_coverage, reason = "construction path; no request deadline is armed during build")
-                    for ((year, degree), partial) in subs {
-                        let bucket = degree_bucket(degree);
-                        let s = cell.degrees.len() as u32;
-                        match cell.atoms.last_mut() {
-                            Some(atom) if atom.year == year && atom.degree_bucket == bucket => {
-                                atom.end = s + 1;
-                            }
-                            _ => cell.atoms.push(PartialAtom {
-                                year,
-                                degree_bucket: bucket,
-                                start: s,
-                                end: s + 1,
-                            }),
-                        }
-                        cell.degrees.push(degree);
-                        cell.totals.push(partial.total);
-                        cell.unmatcheds.push(partial.unmatched);
-                        cell.counts_q.extend_from_slice(partial.quantized_counts());
-                        cell.senti_q
-                            .extend_from_slice(partial.quantized_sentiments());
-                    }
-                    cell
-                })
-                .collect()
-        });
-
         Self {
             attributes,
             vocab,
@@ -643,8 +447,6 @@ impl OpineDb {
             sentiment,
             opinion_domains,
             interpreter,
-            summaries,
-            raw,
             membership_markers,
             membership_scan,
             entity_index,
@@ -653,9 +455,7 @@ impl OpineDb {
             entity_keys,
             key_to_entity,
             review_meta,
-            entity_review_counts,
             reviewer_counts,
-            partials,
             config,
             column_cache: BoundedCache::new(256),
             point_cache: BoundedCache::new(65_536),
@@ -667,7 +467,7 @@ impl OpineDb {
             filtered_cache: BoundedCache::new(16),
             qualified_queries: std::sync::atomic::AtomicU64::new(0),
             timed_out_queries: std::sync::atomic::AtomicU64::new(0),
-            ingest: IngestState::new(),
+            ingest: IngestState::new(DataPlane::new(records)),
         }
     }
 
@@ -701,9 +501,10 @@ impl OpineDb {
         &self.interpreter.marker_sets()[attribute]
     }
 
-    /// The marker summary of an entity/attribute.
-    pub fn summary(&self, entity: usize, attribute: usize) -> &MarkerSummary {
-        &self.summaries[entity][attribute]
+    /// The marker summary of an entity/attribute, over every review the
+    /// pinned generation holds.
+    pub fn summary(&self, entity: usize, attribute: usize) -> MarkerSummary {
+        self.pinned().plane.entities[entity].summaries[attribute].clone()
     }
 
     /// The vocabulary built over the corpus.
@@ -808,7 +609,7 @@ impl OpineDb {
             .for_each_value(|(_, c)| column_bytes += c.memory_bytes());
         let review_ir = self.interpreter.review_index().retrieval_stats();
         let entity_ir = self.entity_index.retrieval_stats();
-        let delta = self.ingest.cell.load();
+        let plane = self.ingest.cell.load();
         CacheReport {
             interpretations: self.interpreter.cache_stats(),
             phrases: self.phrase_cache.stats(),
@@ -828,8 +629,8 @@ impl OpineDb {
                 .timed_out_queries
                 .load(std::sync::atomic::Ordering::Relaxed),
             faults_injected: opine_faults::injected_total(),
-            ingest_epoch: delta.epoch(),
-            delta_reviews: delta.value().meta.len() as u64,
+            ingest_epoch: plane.epoch(),
+            delta_reviews: plane.meta.len() as u64,
             inserted_reviews: self.ingest.inserted_reviews.load(Relaxed),
             delta_merges: self.ingest.delta_merges.load(Relaxed),
             failed_merges: self.ingest.failed_merges.load(Relaxed),
@@ -861,7 +662,7 @@ impl OpineDb {
     /// `(rep, sentiment)` views of every raw extracted phrase of an
     /// entity/attribute (the scan path's input).
     pub fn raw_phrases(&self, entity: usize, attribute: usize) -> Vec<(&[f32], f64)> {
-        self.raw[entity][attribute]
+        self.pinned().plane.entities[entity].occs[attribute]
             .iter()
             .map(|occ| {
                 (
@@ -913,7 +714,7 @@ impl OpineDb {
                         .collect()
                 })
                 .unwrap_or_default();
-            let overlay = (!pin.delta.overlay.is_empty()).then_some(&pin.delta.overlay);
+            let overlay = (!pin.plane.overlay.is_empty()).then_some(&pin.plane.overlay);
             let result = execute_lazy_with_overlay(select, &self.catalog, self, overlay)?;
             Ok(QueryRef {
                 result,
@@ -1003,21 +804,23 @@ impl OpineDb {
 
     fn degree_pinned(&self, entity: usize, predicate: &str, pin: &Pin) -> f64 {
         if let Some((stamp, column)) = self.column_cache.get(predicate) {
-            if Self::entry_fresh(stamp, entity, pin) {
+            if Self::entry_fresh(stamp, column.reads_text, entity, pin) {
                 return column.degrees()[entity];
             }
         }
         // `\u{1}` cannot occur in tokenized predicate text, so the
         // composite key is unambiguous.
         let key = format!("{entity}\u{1}{predicate}");
-        if let Some((stamp, degree)) = self.point_cache.get(&key) {
-            if Self::entry_fresh(stamp, entity, pin) {
+        if let Some((stamp, degree, reads_text)) = self.point_cache.get(&key) {
+            if Self::entry_fresh(stamp, reads_text, entity, pin) {
                 return degree;
             }
         }
         let interp = self.interpret(predicate);
         let degree = self.degree_for_interpretation(entity, predicate, &interp);
-        self.point_cache.insert(&key, (pin.epoch, degree));
+        let reads_text = interp == Interpretation::TextFallback;
+        self.point_cache
+            .insert(&key, (pin.epoch, degree, reads_text));
         degree
     }
 
@@ -1027,9 +830,9 @@ impl OpineDb {
     ///
     /// Cached columns are stamped with the data epoch they were built
     /// at. A probe from a newer pin **repairs** a stale column instead
-    /// of rebuilding it: only the entities whose pinned delta version
-    /// moved past the stamp recompute (an `INSERT` touches one entity;
-    /// the other N−1 slots are reused verbatim).
+    /// of rebuilding it: only the entities that changed after the stamp
+    /// recompute (an `INSERT` touches one entity; the other N−1 slots
+    /// are reused verbatim).
     pub fn degree_column(&self, predicate: &str) -> Arc<DegreeColumn> {
         self.ensure_pinned(|pin| self.degree_column_pinned(predicate, pin))
     }
@@ -1042,12 +845,8 @@ impl OpineDb {
                 return column;
             }
             if stamp < pin.epoch {
-                let mut stale: Vec<usize> = pin
-                    .delta
-                    .entity_versions
-                    .iter()
-                    .filter(|&(_, &version)| version > stamp)
-                    .map(|(&entity, _)| entity)
+                let stale: Vec<usize> = (0..self.num_entities())
+                    .filter(|&entity| pin.plane.changed_since(entity, stamp, column.reads_text))
                     .collect();
                 if stale.is_empty() {
                     // Nothing the column depends on changed across those
@@ -1058,7 +857,6 @@ impl OpineDb {
                         .insert(predicate, (pin.epoch, column.clone()));
                     return column;
                 }
-                stale.sort_unstable();
                 opine_trace::count("ta_topk", "cache_repairs", 1);
                 let interp = self.interpret(predicate);
                 let prepared = self.prepare_interpretation(predicate, &interp);
@@ -1081,6 +879,7 @@ impl OpineDb {
         opine_trace::count("ta_topk", "cache_misses", 1);
         let interp = self.interpret(predicate);
         let prepared = self.prepare_interpretation(predicate, &interp);
+        let reads_text = matches!(prepared, PreparedInterpretation::Text { .. });
         let degrees = match &prepared {
             // Text fallback: one term-at-a-time pass over the entity
             // index's posting lists (O(total postings)) instead of a
@@ -1109,7 +908,7 @@ impl OpineDb {
                 self.degree_prepared(entity, &prepared)
             }),
         };
-        let column = Arc::new(DegreeColumn::new(degrees));
+        let column = Arc::new(DegreeColumn::new(degrees, reads_text));
         if cacheable {
             self.column_cache
                 .insert(predicate, (pin.epoch, column.clone()));
@@ -1299,7 +1098,7 @@ impl OpineDb {
     /// one `f64` add under this same guard, so their bit-identity
     /// survives live ingest.
     fn delta_text_index(pin: &Pin, num_entities: usize) -> Option<&InvertedIndex> {
-        pin.delta
+        pin.plane
             .text_index
             .as_deref()
             .filter(|index| index.num_docs() == num_entities)
@@ -1332,52 +1131,18 @@ impl OpineDb {
         phrase: &PreparedPhrase,
     ) -> f64 {
         let pin = self.pinned();
+        let record = &pin.plane.entities[entity];
         // sync: ablation toggle; both branches are correct membership paths.
         if self.use_markers.load(std::sync::atomic::Ordering::Relaxed) {
-            let base = &self.summaries[entity][attribute];
-            let feats = match pin.delta.summaries.get(&(entity, attribute)) {
-                // Delta reviews mentioned this cell: score over the
-                // frozen summary merged with the pinned delta summary
-                // (fixed-point merge — identical to rebuilding from
-                // base + delta occurrences).
-                Some(delta_summary) => {
-                    let mut merged = base.clone();
-                    merged.merge(delta_summary);
-                    marker_features(
-                        &merged,
-                        self.marker_set(attribute),
-                        &phrase.rep,
-                        phrase.sentiment,
-                    )
-                }
-                None => marker_features(
-                    base,
-                    self.marker_set(attribute),
-                    &phrase.rep,
-                    phrase.sentiment,
-                ),
-            };
+            let feats = marker_features(
+                &record.summaries[attribute],
+                self.marker_set(attribute),
+                &phrase.rep,
+                phrase.sentiment,
+            );
             self.membership_markers.degree(&feats)
         } else {
-            let occs = &self.raw[entity][attribute];
-            let delta_occs = pin
-                .delta
-                .cells
-                .get(&(entity, attribute))
-                .map(|cell| cell.occs.as_slice())
-                .unwrap_or(&[]);
-            let phrase_refs: Vec<(&[f32], f64)> = occs
-                .iter()
-                .chain(delta_occs)
-                .map(|occ| {
-                    (
-                        self.opinion_domains[attribute].variations()[occ.variation]
-                            .rep
-                            .as_slice(),
-                        occ.sentiment,
-                    )
-                })
-                .collect();
+            let phrase_refs = self.raw_phrases(entity, attribute);
             self.membership_scan
                 .degree(&scan_features(&phrase_refs, &phrase.rep, phrase.sentiment))
         }
@@ -1423,51 +1188,35 @@ impl OpineDb {
         F: Fn(&ReviewMeta) -> bool,
     {
         self.ensure_pinned(|pin| {
-            let mut out: Vec<Vec<MarkerSummary>> = (0..self.num_entities())
-                .map(|_| {
-                    (0..self.attributes.len())
-                        .map(|a| MarkerSummary::empty(self.marker_set(a).markers.len()))
+            pin.plane
+                .entities
+                .iter()
+                .map(|record| {
+                    record
+                        .occs
+                        .iter()
+                        .enumerate()
+                        .map(|(attr, occs)| {
+                            let markers = self.marker_set(attr);
+                            let mut out = MarkerSummary::empty(markers.markers.len());
+                            for occ in occs {
+                                opine_faults::checkpoint();
+                                if !filter(&self.review_meta_at(&pin.plane, occ.review_id)) {
+                                    continue;
+                                }
+                                let contribution = occ_contribution(
+                                    &self.opinion_domains[attr],
+                                    markers,
+                                    &self.config,
+                                    occ,
+                                );
+                                out.apply(&contribution, true);
+                            }
+                            out
+                        })
                         .collect()
                 })
-                .collect();
-            for (entity, per_attr) in self.raw.iter().enumerate() {
-                for (attr, occs) in per_attr.iter().enumerate() {
-                    for occ in occs {
-                        opine_faults::checkpoint();
-                        if !filter(&self.review_meta[occ.review_id]) {
-                            continue;
-                        }
-                        let contribution = occ_contribution(
-                            &self.opinion_domains[attr],
-                            self.marker_set(attr),
-                            &self.config,
-                            occ,
-                        );
-                        out[entity][attr].apply(&contribution, true);
-                    }
-                }
-            }
-            // The pinned delta's occurrences re-aggregate through the
-            // identical contribution path. Map iteration order varies,
-            // but fixed-point accumulation is commutative bit-for-bit,
-            // so the aggregates (not provenance order) are stable.
-            for (&(entity, attr), cell) in &pin.delta.cells {
-                for occ in &cell.occs {
-                    opine_faults::checkpoint();
-                    let meta = self.review_meta_at(&pin.delta, occ.review_id);
-                    if !filter(&meta) {
-                        continue;
-                    }
-                    let contribution = occ_contribution(
-                        &self.opinion_domains[attr],
-                        self.marker_set(attr),
-                        &self.config,
-                        occ,
-                    );
-                    out[entity][attr].apply(&contribution, true);
-                }
-            }
-            out
+                .collect()
         })
     }
 
@@ -1478,8 +1227,9 @@ impl OpineDb {
     ///
     /// Year ranges align exactly with the partition (atoms are
     /// per-year). A `reviewer_min_count` threshold merges every degree
-    /// bucket it fully covers and re-resolves only the occurrences of
-    /// the single bucket it cuts through. Fixed-point accumulation makes
+    /// bucket it fully covers and resolves only the exact-degree
+    /// sub-partials of the one bucket it cuts through. Fixed-point
+    /// accumulation makes
     /// the result bit-identical to
     /// [`Self::summaries_with_review_filter`] over
     /// [`ReviewQualifier::accepts`] (modulo provenance, which the merge
@@ -1506,92 +1256,31 @@ impl OpineDb {
         })
     }
 
-    /// The bucket-merge itself, parallel over entity chunks.
+    /// The bucket-merge itself, parallel over entity chunks. Each
+    /// record's partials hold its built and inserted occurrences alike.
     ///
-    /// Delta handling: the base atoms merge as before; each delta
-    /// cell's per-year partials (frozen by the last merge) merge under
-    /// the same year bounds, and the small unsealed tail (bounded by
-    /// the merge threshold) re-resolves its occurrences directly. One
-    /// exception — a reviewer-degree threshold compares against *live*
-    /// review counts, which delta inserts can shift across the
-    /// build-time log2 buckets; with a live delta such qualifiers take
-    /// the exact raw rescan instead of the bucket merge, trading the
-    /// shortcut for correctness (the staleness bug this PR fixes).
+    /// One exception: a reviewer-degree threshold compares against
+    /// *live* review counts, and an inserted review moves its author's
+    /// older occurrences to another degree, which the partials (keyed by
+    /// the degree at fold time) do not follow. Once any review has been
+    /// inserted, such qualifiers take the exact raw rescan instead.
     fn merge_qualified(&self, qualifier: &ReviewQualifier, pin: &Pin) -> Vec<Vec<MarkerSummary>> {
         opine_faults::fire_panic("summary_merge");
-        if qualifier.min_reviewer_count.is_some() && !pin.delta.is_empty() {
+        if qualifier.min_reviewer_count.is_some() && !pin.plane.meta.is_empty() {
             return self.summaries_with_review_filter(|m| {
                 qualifier.accepts(m.year, self.reviewer_review_count(m.reviewer_id) as u32)
             });
         }
         par::par_map(self.num_entities(), |entity| {
             opine_faults::checkpoint();
-            (0..self.attributes.len())
-                .map(|attr| {
+            pin.plane.entities[entity]
+                .partials
+                .iter()
+                .enumerate()
+                .map(|(attr, cell)| {
                     let k = self.marker_set(attr).markers.len();
-                    let cell = &self.partials[entity][attr];
                     let mut out = MarkerSummary::empty(k);
-                    // lint:allow(checkpoint_coverage, reason = "bounded by years x degree-buckets per entity; the par_map closure checkpoints per entity")
-                    for atom in &cell.atoms {
-                        if qualifier.min_year.is_some_and(|y| atom.year < y)
-                            || qualifier.max_year.is_some_and(|y| atom.year > y)
-                        {
-                            continue;
-                        }
-                        let cut = match qualifier.min_reviewer_count {
-                            None => BucketCut::Full,
-                            Some(t) => classify_bucket(atom.degree_bucket, t),
-                        };
-                        match cut {
-                            BucketCut::Full => {
-                                for s in atom.start..atom.end {
-                                    cell.merge_sub(s as usize, k, &mut out);
-                                }
-                            }
-                            BucketCut::Out => {}
-                            BucketCut::Straddle => {
-                                // The threshold cuts through this degree
-                                // bucket: merge just the qualifying
-                                // exact-degree sub-partials (sorted, so
-                                // the prefix below the threshold skips).
-                                let t = qualifier.min_reviewer_count.expect("straddle needs t");
-                                for s in atom.start..atom.end {
-                                    if cell.degrees[s as usize] >= t {
-                                        cell.merge_sub(s as usize, k, &mut out);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    // Delta side (no reviewer threshold reaches here):
-                    // merged per-year partials + the unsealed tail.
-                    if let Some(delta_cell) = pin.delta.cells.get(&(entity, attr)) {
-                        // lint:allow(checkpoint_coverage, reason = "bounded by distinct delta years; the par_map closure checkpoints per entity")
-                        for (year, partial) in &delta_cell.year_partials {
-                            if qualifier.min_year.is_some_and(|y| *year < y)
-                                || qualifier.max_year.is_some_and(|y| *year > y)
-                            {
-                                continue;
-                            }
-                            out.merge(partial);
-                        }
-                        for occ in &delta_cell.occs[delta_cell.sealed..] {
-                            opine_faults::checkpoint();
-                            let meta = self.review_meta_at(&pin.delta, occ.review_id);
-                            if qualifier.min_year.is_some_and(|y| meta.year < y)
-                                || qualifier.max_year.is_some_and(|y| meta.year > y)
-                            {
-                                continue;
-                            }
-                            let contribution = occ_contribution(
-                                &self.opinion_domains[attr],
-                                self.marker_set(attr),
-                                &self.config,
-                                occ,
-                            );
-                            out.apply(&contribution, false);
-                        }
-                    }
+                    cell.merge_qualified(qualifier, k, &mut out);
                     out
                 })
                 .collect()
@@ -1617,25 +1306,22 @@ impl OpineDb {
         self.membership_markers.degree(&feats)
     }
 
-    /// Number of reviews aggregated for an entity: the build-time count
-    /// plus the pinned delta's (both O(1); the base side used to walk
-    /// every review in the corpus per call).
+    /// Number of reviews aggregated for an entity in the pinned
+    /// generation.
     pub fn review_count(&self, entity: usize) -> usize {
-        let pin = self.pinned();
-        self.entity_review_counts[entity] as usize
-            + pin.delta.entity_counts.get(&entity).copied().unwrap_or(0) as usize
+        self.pinned().plane.entities[entity].reviews as usize
     }
 
     /// Number of reviews written by a reviewer — the degree the
     /// qualifier's `reviewer_min_count` thresholds compare against.
-    /// Live: includes the pinned delta's reviews, which is why a
-    /// reviewer-threshold qualifier over a non-empty delta must rescan
-    /// instead of merging the build-time degree buckets.
+    /// Live: includes the pinned generation's inserted reviews, which is
+    /// why a reviewer-threshold qualifier after an insert must rescan
+    /// instead of merging the degree buckets.
     pub fn reviewer_review_count(&self, reviewer_id: usize) -> usize {
         let pin = self.pinned();
         self.reviewer_counts.get(reviewer_id).copied().unwrap_or(0) as usize
             + pin
-                .delta
+                .plane
                 .reviewer_counts
                 .get(&reviewer_id)
                 .copied()
@@ -1694,57 +1380,57 @@ impl OpineDb {
     // Live ingest: snapshot pins, INSERT execution, the delta merge.
     // ------------------------------------------------------------------
 
-    /// Runs `f` under a pinned delta generation: the pin already
+    /// Runs `f` under a pinned data-plane generation: the pin already
     /// installed on this thread (so every read inside one query shares
     /// a generation), else the currently published generation installed
-    /// for the duration of `f`. Every delta-aware entry point goes
+    /// for the duration of `f`. Every generation-aware entry point goes
     /// through this — it is what makes a whole request observe exactly
     /// one epoch.
     fn ensure_pinned<T>(&self, f: impl FnOnce(&Pin) -> T) -> T {
         if let Some(pin) = crate::ingest::current_pin() {
             return f(&pin);
         }
-        let snap = self.ingest.cell.load();
-        let pin = Pin {
-            epoch: snap.epoch(),
-            delta: snap.value().clone(),
-        };
+        let pin = self.published_pin();
         crate::ingest::with_pin(Some(pin.clone()), || f(&pin))
     }
 
-    /// The delta generation this thread's query pinned, or (outside a
-    /// query) the currently published one. Leaf reads that don't
-    /// recurse into other delta-aware paths use this instead of
+    /// The generation this thread's query pinned, or (outside a query)
+    /// the currently published one. Leaf reads that don't recurse into
+    /// other generation-aware paths use this instead of
     /// [`Self::ensure_pinned`].
     fn pinned(&self) -> Pin {
-        crate::ingest::current_pin().unwrap_or_else(|| {
-            let snap = self.ingest.cell.load();
-            Pin {
-                epoch: snap.epoch(),
-                delta: snap.value().clone(),
-            }
-        })
+        crate::ingest::current_pin().unwrap_or_else(|| self.published_pin())
+    }
+
+    fn published_pin(&self) -> Pin {
+        let snap = self.ingest.cell.load();
+        Pin {
+            epoch: snap.epoch(),
+            plane: snap.value().clone(),
+        }
     }
 
     /// Whether an epoch-stamped cache entry is valid for `entity` under
     /// `pin`: the entry must not come from the pin's future (snapshot
-    /// isolation for queries pinned before a publish), and the entity
-    /// must not have changed since the entry was stamped (per-entity
+    /// isolation for queries pinned before a publish), and nothing the
+    /// entry read may have changed since it was stamped (per-entity
     /// precision — an insert into entity A never invalidates entity
-    /// B's memoized degrees).
+    /// B's memoized degrees). `reads_text` marks entries that read the
+    /// delta text index.
     #[inline]
-    fn entry_fresh(stamp: u64, entity: usize, pin: &Pin) -> bool {
-        stamp <= pin.epoch && pin.delta.entity_version(entity) <= stamp
+    fn entry_fresh(stamp: u64, reads_text: bool, entity: usize, pin: &Pin) -> bool {
+        stamp <= pin.epoch && !pin.plane.changed_since(entity, stamp, reads_text)
     }
 
-    /// Metadata of a review by global id: base reviews first, then the
-    /// pinned delta's (delta review `i` has id `base_count + i`).
+    /// Metadata of a review by global id: built reviews first, then the
+    /// generation's inserted ones (inserted review `i` has id
+    /// `base_count + i`).
     #[inline]
-    fn review_meta_at(&self, delta: &DeltaState, review_id: usize) -> ReviewMeta {
+    fn review_meta_at(&self, plane: &DataPlane, review_id: usize) -> ReviewMeta {
         if review_id < self.review_meta.len() {
             self.review_meta[review_id]
         } else {
-            delta.meta[review_id - self.review_meta.len()]
+            plane.meta[review_id - self.review_meta.len()]
         }
     }
 
@@ -1754,12 +1440,12 @@ impl OpineDb {
         self.ingest.cell.epoch()
     }
 
-    /// Delta reviews live in the current generation.
+    /// Inserted reviews live in the current generation.
     pub fn delta_reviews(&self) -> usize {
-        self.ingest.cell.load().value().meta.len()
+        self.ingest.cell.load().meta.len()
     }
 
-    /// Sets the unsealed-review count that triggers a merge after an
+    /// Sets the unmerged-review count that triggers a merge after an
     /// insert (clamped to ≥ 1; default
     /// [`crate::ingest::DEFAULT_MERGE_THRESHOLD`]).
     pub fn set_merge_threshold(&self, reviews: usize) {
@@ -1775,8 +1461,9 @@ impl OpineDb {
     }
 
     /// Executes an already-parsed `INSERT`, all-or-nothing: the batch
-    /// is validated in full, applied to a copy-on-write clone of the
-    /// delta generation, and published with **one** epoch bump — a
+    /// is validated in full, folded into copies of the entity records it
+    /// touches (every other record is shared with the previous
+    /// generation), and published with **one** epoch bump — a
     /// concurrent query pins either every row of the batch or none.
     ///
     /// Only the `reviews` table accepts inserts (the entity set — and
@@ -1788,7 +1475,7 @@ impl OpineDb {
     /// optional (`reviewer_id` defaults to a fresh reviewer).
     /// `review_id` is assigned by the engine and cannot be specified.
     ///
-    /// When the statement pushes the unsealed delta over the merge
+    /// When the statement pushes the unmerged reviews over the merge
     /// threshold, the merge runs immediately (still under the writer
     /// lock) and publishes a second epoch. A merge failure does not
     /// fail the insert — the batch already published; the merge
@@ -1800,8 +1487,10 @@ impl OpineDb {
         let span = opine_trace::span("ingest");
         let snap = self.ingest.cell.load();
         // Single writer (the lock above) ⇒ the next publish gets
-        // exactly this epoch; inserted entities are stamped with it.
+        // exactly this epoch; touched records are stamped with it.
         let new_epoch = snap.epoch() + 1;
+        // Copies the vector of record pointers; `Arc::make_mut` below
+        // clones a record the first time the batch touches it.
         let mut next = (**snap.value()).clone();
         let matcher = self
             .ingest
@@ -1812,8 +1501,8 @@ impl OpineDb {
             opine_faults::checkpoint();
             let review_id = self.review_meta.len() + next.meta.len();
             // Fresh default: past the dense base ids plus one per prior
-            // delta review, so two anonymous inserts never merge into
-            // one reviewer.
+            // inserted review, so two anonymous inserts never merge
+            // into one reviewer.
             let reviewer_id = row
                 .reviewer_id
                 .unwrap_or(self.reviewer_counts.len() + next.meta.len());
@@ -1833,21 +1522,22 @@ impl OpineDb {
                 year: row.year,
                 helpful_votes: row.helpful_votes,
             });
-            *next.entity_counts.entry(row.entity).or_insert(0) += 1;
-            *next.reviewer_counts.entry(reviewer_id).or_insert(0) += 1;
-            next.entity_versions.insert(row.entity, new_epoch);
-            next.unsealed_reviews += 1;
+            let inserted_by_reviewer = next.reviewer_counts.entry(reviewer_id).or_insert(0);
+            *inserted_by_reviewer += 1;
+            let degree = self.reviewer_counts.get(reviewer_id).copied().unwrap_or(0)
+                + *inserted_by_reviewer;
+            next.unmerged_reviews += 1;
+            let record = Arc::make_mut(&mut next.entities[row.entity]);
+            record.reviews += 1;
+            record.epoch = new_epoch;
             if !row.text.is_empty() {
-                let slot = next.texts.entry(row.entity).or_default();
-                if !slot.is_empty() {
-                    slot.push(' ');
+                if !record.text.is_empty() {
+                    record.text.push(' ');
                 }
-                slot.push_str(&row.text);
+                record.text.push_str(&row.text);
             }
-            // Insert-time extraction against the frozen domains: each
-            // occurrence lands in its cell and folds into the cell's
-            // running summary through the same fixed-point contribution
-            // path the build uses.
+            // Insert-time extraction against the frozen domains; each
+            // occurrence folds in through the build's own routine.
             for (attr, variation) in matcher.extract(&row.text) {
                 opine_faults::checkpoint();
                 let occ = PhraseOcc {
@@ -1855,24 +1545,18 @@ impl OpineDb {
                     sentiment: self.opinion_domains[attr].variations()[variation].sentiment,
                     review_id,
                 };
-                let contribution = occ_contribution(
+                record.add_occ(
+                    attr,
+                    occ,
+                    row.year,
+                    degree,
                     &self.opinion_domains[attr],
                     &marker_sets[attr],
                     &self.config,
-                    &occ,
                 );
-                next.summaries
-                    .entry((row.entity, attr))
-                    .or_insert_with(|| MarkerSummary::empty(marker_sets[attr].markers.len()))
-                    .apply(&contribution, false);
-                next.cells
-                    .entry((row.entity, attr))
-                    .or_default()
-                    .occs
-                    .push(occ);
             }
         }
-        let unsealed = next.unsealed_reviews;
+        let unmerged = next.unmerged_reviews;
         span.count("rows", rows.len() as u64);
         let published = self.ingest.cell.publish(next);
         debug_assert_eq!(published, new_epoch);
@@ -1886,12 +1570,12 @@ impl OpineDb {
         // publish.
         // sync: tuning knob; a stale threshold merges a batch late.
         let threshold = self.ingest.merge_threshold.load(Relaxed);
-        let merged = unsealed >= threshold && self.merge_delta_locked().is_ok();
+        let merged = unmerged >= threshold && self.merge_delta_locked().is_ok();
         let snap = self.ingest.cell.load();
         Ok(IngestReceipt {
             inserted: rows.len(),
             epoch: snap.epoch(),
-            delta_reviews: snap.value().meta.len(),
+            delta_reviews: snap.meta.len(),
             merged,
         })
     }
@@ -2009,14 +1693,15 @@ impl OpineDb {
         Ok(rows)
     }
 
-    /// Freezes the delta: seals the overlay tail into `Arc`-shared
-    /// chunks, folds every occurrence into per-year partial summaries,
-    /// rebuilds the per-entity delta text index (block-max frozen, so
-    /// delta BM25 serves through the same WAND machinery as the base
-    /// index), and publishes the frozen artifacts with a single epoch
-    /// bump. On failure (an injected `mid_merge` fault, a cancelled
-    /// deadline) nothing publishes — the previous epoch keeps serving
-    /// — and `failed_merges` increments.
+    /// Merges the inserted reviews into the near-real-time artifacts:
+    /// seals the overlay tail into `Arc`-shared chunks and rebuilds the
+    /// per-entity delta text index (block-max frozen, so delta BM25
+    /// serves through the same WAND machinery as the base index), then
+    /// publishes both with a single epoch bump. Summaries, partials and
+    /// counts need no merge: every batch already folded them into the
+    /// entity records. On failure (an injected `mid_merge` fault, a
+    /// cancelled deadline) nothing publishes — the previous epoch keeps
+    /// serving — and `failed_merges` increments.
     pub fn merge_delta(&self) -> Result<u64, OpineError> {
         // lint:allow(lock_hold, reason = "single writer lock by design: inserts and merges serialize; readers pin generations and never take it")
         let _writer = self.ingest.writer.lock();
@@ -2026,12 +1711,11 @@ impl OpineDb {
     /// The merge body; the caller holds the writer lock.
     fn merge_delta_locked(&self) -> Result<u64, OpineError> {
         let snap = self.ingest.cell.load();
-        if snap.value().unsealed_reviews == 0 {
+        if snap.unmerged_reviews == 0 {
             return Ok(snap.epoch());
         }
         let span = opine_trace::span("delta_merge");
         let new_epoch = snap.epoch() + 1;
-        let marker_sets = self.interpreter.marker_sets();
         // The merge builds a complete successor generation off to the
         // side and publishes it only if every step succeeds; a panic
         // (injected fault, expired deadline) is caught — NOT resumed,
@@ -2041,53 +1725,17 @@ impl OpineDb {
             opine_faults::fire_panic("mid_merge");
             let mut next = (**snap.value()).clone();
             next.overlay.seal();
-            // Fold all occurrences (sealed + tail) into fresh per-year
-            // partials; rebuilding instead of appending keeps one code
-            // path, and the delta stays small by design.
-            for (&(_, attr), cell) in next.cells.iter_mut() {
-                let k = marker_sets[attr].markers.len();
-                let mut by_year: BTreeMap<u32, MarkerSummary> = BTreeMap::new();
-                for occ in &cell.occs {
-                    opine_faults::checkpoint();
-                    let year = if occ.review_id < self.review_meta.len() {
-                        self.review_meta[occ.review_id].year
-                    } else {
-                        snap.value().meta[occ.review_id - self.review_meta.len()].year
-                    };
-                    let contribution = occ_contribution(
-                        &self.opinion_domains[attr],
-                        &marker_sets[attr],
-                        &self.config,
-                        occ,
-                    );
-                    by_year
-                        .entry(year)
-                        .or_insert_with(|| MarkerSummary::empty(k))
-                        .apply(&contribution, false);
-                }
-                cell.year_partials = by_year.into_iter().collect();
-                cell.sealed = cell.occs.len();
-            }
-            // Rebuild the delta text index over every entity's merged
-            // delta text (doc id == entity id so dense BM25 aligns
-            // with the base index), vocabulary frozen.
+            // Doc id == entity id so dense BM25 aligns with the base
+            // index; vocabulary frozen.
             let mut index = InvertedIndex::new();
-            for entity in 0..self.num_entities() {
+            for record in &next.entities {
                 opine_faults::checkpoint();
-                let text = next.texts.get(&entity).map(String::as_str).unwrap_or("");
-                index.add_document_frozen_vocab(text, &self.vocab);
+                index.add_document_frozen_vocab(&record.text, &self.vocab);
             }
             index.freeze();
             next.text_index = Some(Arc::new(index));
-            // The merge changes these reviews' text-retrieval
-            // contribution, so their entities must invalidate
-            // epoch-stamped cache entries from before it.
-            for i in next.merged_reviews..next.meta.len() {
-                let entity = next.meta[i].entity_id;
-                next.entity_versions.insert(entity, new_epoch);
-            }
-            next.merged_reviews = next.meta.len();
-            next.unsealed_reviews = 0;
+            next.text_epoch = new_epoch;
+            next.unmerged_reviews = 0;
             next
         }));
         match built {
@@ -2480,7 +2128,7 @@ mod tests {
         for e in 0..db.num_entities() {
             for a in 0..db.attributes.len() {
                 assert!(
-                    merged[e][a].same_aggregates(db.summary(e, a)),
+                    merged[e][a].same_aggregates(&db.summary(e, a)),
                     "entity {e} attr {a}"
                 );
             }
@@ -3100,11 +2748,11 @@ mod tests {
                 }
             }
         };
-        // Pre-merge: the unsealed tail re-resolves raw occurrences.
+        // Before the merge: only the batch has published.
         check("pre-merge");
         let epoch = db.merge_delta().unwrap();
         assert_eq!(epoch, 2);
-        // Post-merge: the sealed per-year partials path.
+        // After the merge: the text index moved, the records did not.
         check("post-merge");
     }
 
@@ -3197,5 +2845,79 @@ mod tests {
             1,
             "merged reviews stay in the delta generation"
         );
+    }
+    #[test]
+    fn a_batch_shares_every_untouched_entity_record_with_the_previous_generation() {
+        let _guard = ingest_lock();
+        let (_, db) = db();
+        db.set_merge_threshold(4);
+        let phrase = db.opinion_domain(0).variations()[0].phrase.clone();
+        let batch = |entities: &[usize]| {
+            let rows: Vec<String> = entities
+                .iter()
+                .map(|&e| format!("('{}', 'so {phrase}', 2020)", db.entity_key(e)))
+                .collect();
+            db.insert_sql(&format!(
+                "INSERT INTO reviews (entity, text, year) VALUES {}",
+                rows.join(", ")
+            ))
+            .unwrap()
+        };
+        // History: several batches, crossing merges, over every entity.
+        for start in 0..6 {
+            batch(&[start, start + 5, start + 10]);
+        }
+        assert!(db.cache_report().delta_merges >= 1);
+        let before = db.ingest.cell.load();
+        let touched = [3usize, 7];
+        let receipt = batch(&touched);
+        assert!(!receipt.merged, "the probe batch publishes one generation");
+        let after = db.ingest.cell.load();
+        assert_eq!(after.epoch(), before.epoch() + 1);
+        for (entity, (old, new)) in before.entities.iter().zip(&after.entities).enumerate() {
+            assert_eq!(
+                Arc::ptr_eq(old, new),
+                !touched.contains(&entity),
+                "entity {entity}: only touched records are copied"
+            );
+        }
+        assert!(touched
+            .iter()
+            .all(|&e| after.entities[e].epoch == after.epoch()));
+    }
+
+    #[test]
+    fn cached_text_degrees_follow_index_wide_bm25_statistics_across_merges() {
+        let _guard = ingest_lock();
+        let db = text_fallback_db();
+        let predicate = "clean rooms";
+        assert_eq!(db.interpret(predicate), Interpretation::TextFallback);
+        let insert = |entity: usize, text: &str| {
+            db.insert_sql(&format!(
+                "INSERT INTO reviews (entity, text) VALUES ('{}', '{text}')",
+                db.entity_key(entity)
+            ))
+            .unwrap();
+            db.merge_delta().unwrap();
+        };
+        insert(1, "clean rooms and a clean lobby");
+        // Cache entity 1's degree (column and point) against this merge.
+        let _ = db.degree_column(predicate);
+        db.clear_degree_columns();
+        let _ = db.degree(1, predicate);
+        let _ = db.degree_column(predicate);
+        // A second merge adds text to another entity only. The delta
+        // index's idf and average length move, so entity 1's text score
+        // moves too although its own record did not.
+        insert(2, "clean rooms clean rooms clean rooms");
+        let repaired = db.degree_column(predicate).degrees().to_vec();
+        db.clear_degree_columns();
+        let point = db.degree(1, predicate);
+        db.clear_caches();
+        let cold = db.degree_column(predicate);
+        for (e, (warm, cold)) in repaired.iter().zip(cold.degrees()).enumerate() {
+            assert_eq!(warm.to_bits(), cold.to_bits(), "entity {e}");
+        }
+        assert_eq!(point.to_bits(), cold.degrees()[1].to_bits());
     }
 }

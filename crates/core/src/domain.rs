@@ -68,7 +68,12 @@ impl LinguisticDomain {
 
     /// Lookup of a variation by exact phrase.
     pub fn get(&self, phrase: &str) -> Option<&Variation> {
-        self.index.get(phrase).map(|&i| &self.variations[i])
+        self.index_of(phrase).map(|i| &self.variations[i])
+    }
+
+    /// Position of a variation in [`Self::variations`].
+    pub fn index_of(&self, phrase: &str) -> Option<usize> {
+        self.index.get(phrase).copied()
     }
 
     /// Number of distinct variations.

@@ -1,29 +1,35 @@
-//! Live ingest: the mutable delta segment behind snapshot-isolated reads.
+//! Live ingest: snapshot-isolated `INSERT` over copy-on-write entity
+//! records.
 //!
-//! A built [`crate::OpineDb`] is immutable — its relational tables,
-//! summaries, partials, and indexes are frozen artifacts. Reviews
-//! inserted at serve time land in a [`DeltaState`]: a copy-on-write
-//! value published through a [`crate::snapshot::SnapshotCell`], so every
-//! query pins exactly one delta generation for its whole execution (the
-//! thread-local [`Pin`]) and a half-applied `INSERT` batch is never
-//! observable.
+//! The engine's **data plane** is one immutable [`DataPlane`] value per
+//! generation, published through a [`crate::snapshot::SnapshotCell`];
+//! the build output is generation 0. Every query pins exactly one
+//! generation for its whole execution (the thread-local [`Pin`]), so a
+//! half-applied `INSERT` batch is never observable.
 //!
 //! The **model plane stays frozen**: vocabulary, embeddings, sentiment,
-//! interpreter, membership functions, and marker sets are fixed at
-//! build time. The delta only moves the **data plane** — relational
-//! rows (a [`TableOverlay`]), per-entity/per-reviewer counts, marker
-//! summaries (phrase occurrences are extracted at insert time by exact
-//! token matching against the frozen opinion domains), year-partitioned
-//! partial summaries, and a per-entity delta text index rebuilt (and
-//! block-max frozen) by each merge. Near-real-time semantics follow
-//! Lucene's: summary/count effects are visible at the very next epoch,
-//! text-retrieval (BM25) effects become visible at the next delta
-//! merge.
+//! interpreter, membership functions, marker sets, and the entity set
+//! are fixed at build time. Because the entity set is frozen, the data
+//! plane is a vector of per-entity [`EntityRecord`]s (summaries, raw
+//! occurrences, `(year, reviewer degree)` partials, counts). A batch
+//! extracts phrase occurrences from each row by exact token matching
+//! against the frozen opinion domains, clones only the records it
+//! touches, folds the occurrences in through the same routine the build
+//! uses, and publishes one epoch. Untouched records are shared with the
+//! previous generation, so there is one read path for built and
+//! inserted reviews alike.
+//!
+//! Two artifacts sit beside the records. Inserted relational rows live
+//! in a [`TableOverlay`] the executor appends to the `reviews` table,
+//! and inserted text feeds a per-entity delta text index that each
+//! merge rebuilds (and block-max freezes). Near-real-time semantics
+//! follow Lucene's: summary and count effects are visible at the very
+//! next epoch, text-retrieval (BM25) effects at the next merge.
 
-use crate::db::{PhraseOcc, ReviewMeta};
+use crate::db::ReviewMeta;
 use crate::domain::LinguisticDomain;
+use crate::record::EntityRecord;
 use crate::snapshot::SnapshotCell;
-use crate::summary::MarkerSummary;
 use opine_ir::InvertedIndex;
 use opine_store::TableOverlay;
 use parking_lot::Mutex;
@@ -32,90 +38,73 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize};
 use std::sync::{Arc, OnceLock};
 
-/// Default number of unsealed delta reviews that triggers a merge.
+/// Default number of unmerged inserted reviews that triggers a merge.
 pub const DEFAULT_MERGE_THRESHOLD: usize = 64;
 
-/// The delta phrase occurrences of one `(entity, attribute)` cell.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct DeltaCell {
-    /// Every delta occurrence, in insert order. `occs[..sealed]` are
-    /// covered by [`Self::year_partials`]; the tail re-resolves at
-    /// query time (it is bounded by the merge threshold).
-    pub occs: Vec<PhraseOcc>,
-    /// Prefix length folded into the year partials by the last merge.
-    pub sealed: usize,
-    /// Per-year partial summaries over `occs[..sealed]`, ascending by
-    /// year — the delta-side twin of the base `CellPartials`, reduced
-    /// to year granularity because reviewer-degree qualifiers always
-    /// take the exact rescan path when a delta is live (see
-    /// `OpineDb::merge_qualified`).
-    pub year_partials: Vec<(u32, MarkerSummary)>,
-}
-
-/// One immutable delta generation. Published wholesale through the
+/// One immutable data-plane generation. Published wholesale through the
 /// ingest [`SnapshotCell`]; never mutated in place after publication.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct DeltaState {
+#[derive(Debug, Clone)]
+pub(crate) struct DataPlane {
+    /// One record per entity id; a batch replaces only the records it
+    /// touches.
+    pub entities: Vec<Arc<EntityRecord>>,
     /// Relational rows appended to the catalog's `reviews` table.
     pub overlay: TableOverlay,
-    /// `(entity, attribute)` → delta phrase occurrences.
-    pub cells: HashMap<(usize, usize), DeltaCell>,
-    /// `(entity, attribute)` → marker summary over **all** delta
-    /// occurrences of the cell (sealed and unsealed), maintained at
-    /// insert time so the unqualified read path is one merge away.
-    pub summaries: HashMap<(usize, usize), MarkerSummary>,
-    /// Metadata of every delta review; the review with delta index `i`
-    /// has global id `base_review_count + i`.
+    /// Metadata of every inserted review; the review with delta index
+    /// `i` has global id `base_review_count + i`.
     pub meta: Vec<ReviewMeta>,
-    /// Concatenated delta review text per entity, the input of the
-    /// merge's text-index rebuild.
-    pub texts: HashMap<usize, String>,
-    /// Delta reviews per entity.
-    pub entity_counts: HashMap<usize, u32>,
-    /// Delta reviews per reviewer id.
+    /// Inserted reviews per reviewer id.
     pub reviewer_counts: HashMap<usize, u32>,
-    /// Entity → epoch of the last published change to anything that
-    /// feeds its degrees (summaries at insert, text index at merge).
-    /// Epoch-stamped cache entries compare against this to stay
-    /// precise: an entity untouched since an entry was stamped never
-    /// invalidates it.
-    pub entity_versions: HashMap<usize, u64>,
-    /// Frozen per-entity text index over the *merged* delta reviews
-    /// (doc id == entity id, spanning every entity). `None` until the
-    /// first merge.
+    /// Frozen per-entity text index over the inserted text as of the
+    /// last merge (doc id == entity id, spanning every entity). `None`
+    /// until the first merge.
     pub text_index: Option<Arc<InvertedIndex>>,
-    /// Delta reviews covered by `text_index` and the year partials.
-    pub merged_reviews: usize,
-    /// Delta reviews inserted since the last merge — drives the merge
+    /// Epoch of the merge that built `text_index` (0 before any).
+    pub text_epoch: u64,
+    /// Inserted reviews since the last merge — drives the merge
     /// threshold.
-    pub unsealed_reviews: usize,
+    pub unmerged_reviews: usize,
 }
 
-impl DeltaState {
-    /// True when no delta review exists (the fast path every read takes
-    /// before any ingest happens).
-    pub fn is_empty(&self) -> bool {
-        self.meta.is_empty()
+impl DataPlane {
+    /// Generation 0: the build output, no inserted review.
+    pub fn new(entities: Vec<Arc<EntityRecord>>) -> Self {
+        DataPlane {
+            entities,
+            overlay: TableOverlay::default(),
+            meta: Vec::new(),
+            reviewer_counts: HashMap::new(),
+            text_index: None,
+            text_epoch: 0,
+            unmerged_reviews: 0,
+        }
     }
 
-    /// The pinned-generation version of `entity` (0 when untouched).
+    /// Whether anything one of `entity`'s degrees reads changed after
+    /// `stamp`: its record, or — for degrees that read the delta text
+    /// index — a merge that rebuilt the index while the entity had
+    /// inserted text. BM25's idf and average length are index-wide, so
+    /// a merge moves the text score of every entity with delta text,
+    /// not only of those whose text it added.
     #[inline]
-    pub fn entity_version(&self, entity: usize) -> u64 {
-        self.entity_versions.get(&entity).copied().unwrap_or(0)
+    pub fn changed_since(&self, entity: usize, stamp: u64, reads_text: bool) -> bool {
+        let record = &self.entities[entity];
+        record.epoch > stamp || (reads_text && self.text_epoch > stamp && !record.text.is_empty())
     }
 }
 
-/// A query's pinned delta generation: the epoch and the generation's
-/// shared state, installed thread-locally for the whole execution (and
-/// re-installed inside parallel workers by `par::par_map`).
+/// A query's pinned data-plane generation: the epoch and the
+/// generation's shared state, installed thread-locally for the whole
+/// execution (and re-installed inside parallel workers by
+/// `par::par_map`).
 #[derive(Debug, Clone)]
 pub(crate) struct Pin {
     pub epoch: u64,
-    pub delta: Arc<DeltaState>,
+    pub plane: Arc<DataPlane>,
 }
 
 thread_local! {
-    /// The delta generation pinned by the query running on this thread.
+    /// The generation pinned by the query running on this thread.
     static PIN: RefCell<Option<Pin>> = const { RefCell::new(None) };
 }
 
@@ -201,12 +190,12 @@ impl PhraseMatcher {
     }
 }
 
-/// The engine's ingest machinery: the published delta generation, the
-/// writer lock serializing inserts and merges, and the observability
-/// counters the `/stats` surface reports.
+/// The engine's ingest machinery: the published data-plane generation,
+/// the writer lock serializing inserts and merges, and the
+/// observability counters the `/stats` surface reports.
 pub(crate) struct IngestState {
-    /// The current delta generation; `publish` bumps the data epoch.
-    pub cell: SnapshotCell<DeltaState>,
+    /// The current generation; `publish` bumps the data epoch.
+    pub cell: SnapshotCell<DataPlane>,
     /// Serializes writers. Readers never take it — they pin a
     /// generation and go.
     pub writer: Mutex<()>,
@@ -217,16 +206,16 @@ pub(crate) struct IngestState {
     /// Merges that panicked and were rolled back — the previous epoch
     /// kept serving (counter).
     pub failed_merges: AtomicU64,
-    /// Unsealed reviews that trigger a merge.
+    /// Unmerged inserted reviews that trigger a merge.
     pub merge_threshold: AtomicUsize,
     /// Lazily built exact-phrase matcher over the frozen domains.
     pub matcher: OnceLock<PhraseMatcher>,
 }
 
 impl IngestState {
-    pub fn new() -> Self {
+    pub fn new(plane: DataPlane) -> Self {
         IngestState {
-            cell: SnapshotCell::new(DeltaState::default()),
+            cell: SnapshotCell::new(plane),
             writer: Mutex::new(()),
             inserted_reviews: AtomicU64::new(0),
             delta_merges: AtomicU64::new(0),
@@ -247,10 +236,10 @@ pub struct IngestReceipt {
     /// The data epoch after this statement (and any merge it
     /// triggered) published.
     pub epoch: u64,
-    /// Total delta reviews now live.
+    /// Total inserted reviews now live.
     pub delta_reviews: usize,
-    /// True when this statement pushed the delta over the merge
-    /// threshold and the merge completed.
+    /// True when this statement pushed the unmerged reviews over the
+    /// merge threshold and the merge completed.
     pub merged: bool,
 }
 
@@ -263,7 +252,7 @@ mod tests {
         assert!(current_pin().is_none());
         let pin = Pin {
             epoch: 3,
-            delta: Arc::new(DeltaState::default()),
+            plane: Arc::new(DataPlane::new(Vec::new())),
         };
         with_pin(Some(pin.clone()), || {
             assert_eq!(current_pin().expect("pinned").epoch, 3);
@@ -271,7 +260,7 @@ mod tests {
             with_pin(
                 Some(Pin {
                     epoch: 4,
-                    delta: Arc::new(DeltaState::default()),
+                    plane: Arc::new(DataPlane::new(Vec::new())),
                 }),
                 || assert_eq!(current_pin().expect("pinned").epoch, 4),
             );
@@ -286,7 +275,7 @@ mod tests {
             with_pin(
                 Some(Pin {
                     epoch: 1,
-                    delta: Arc::new(DeltaState::default()),
+                    plane: Arc::new(DataPlane::new(Vec::new())),
                 }),
                 || panic!("boom"),
             )

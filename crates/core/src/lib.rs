@@ -17,8 +17,8 @@
 //!   summary aggregation;
 //! * [`db`] — [`OpineDb`]: the end-to-end engine executing Subjective SQL
 //!   with fuzzy combination (Sec. 3.1);
-//! * [`ingest`] — live ingest: the copy-on-write delta segment behind
-//!   snapshot-isolated `INSERT` at serve time;
+//! * [`ingest`] — live ingest: snapshot-isolated `INSERT` at serve
+//!   time over copy-on-write per-entity records;
 //! * [`topk`] — Fagin's Threshold Algorithm for fuzzy top-k (an extension
 //!   the paper cites as the standard technique \[15\]).
 
@@ -38,6 +38,7 @@ pub mod ingest;
 pub mod interpret;
 pub mod membership;
 pub mod par;
+mod record;
 pub mod snapshot;
 pub mod summary;
 pub mod topk;

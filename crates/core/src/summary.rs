@@ -195,9 +195,8 @@ fn dequantize(q: i64) -> f64 {
 /// gives every aggregation site — the build-time summaries, the
 /// review-bucket partials, the raw-rescan fallback — one shared
 /// resolution path, so their updates are identical by construction.
-/// (Sharing one *computed* contribution across the full summary and
-/// its bucket partial within a single build pass is the follow-on the
-/// ROADMAP's batching item describes.)
+/// The entity records resolve each occurrence once and apply the same
+/// contribution to the full summary and to its bucket partial.
 #[derive(Debug, Clone)]
 pub struct PhraseContribution<'p> {
     phrase: &'p str,
@@ -241,6 +240,17 @@ impl<'p> PhraseContribution<'p> {
             unmatched,
             assignments,
         }
+    }
+
+    /// Adds the phrase's mass and weighted sentiment into one summary's
+    /// fixed-point accumulators, returning whether it matched no marker
+    /// — the accumulation step every summary store shares.
+    pub fn accumulate(&self, counts_q: &mut [i64], senti_q: &mut [i64]) -> bool {
+        for &(idx, weight_q, s_q) in &self.assignments {
+            counts_q[idx] += weight_q;
+            senti_q[idx] += s_q;
+        }
+        self.unmatched
     }
 }
 
@@ -316,13 +326,8 @@ impl MarkerSummary {
                 phrase: contribution.phrase.to_string(),
             });
         }
-        if contribution.unmatched {
+        if contribution.accumulate(&mut self.counts_q, &mut self.senti_q) {
             self.unmatched += 1.0;
-            return;
-        }
-        for &(idx, weight_q, senti_q) in &contribution.assignments {
-            self.counts_q[idx] += weight_q;
-            self.senti_q[idx] += senti_q;
         }
     }
 
