@@ -480,8 +480,8 @@ fn ingest_smoke_guard() {
         first.result.rows, replay.result.rows,
         "two selects over the same epoch must answer identically"
     );
-    // Crossing the threshold merges inline: the delta's rows move into
-    // frozen posting blocks and per-year partials without dropping a
+    // Crossing the threshold merges inline: the inserted rows are sealed
+    // and their text moves into frozen posting blocks without dropping a
     // row on the serving path.
     db.set_merge_threshold(2);
     let receipt = db

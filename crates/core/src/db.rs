@@ -102,7 +102,7 @@ pub struct QueryRef<'a> {
     /// `(predicate, interpretation)` for every natural-language predicate.
     pub interpretations: Vec<(String, Interpretation)>,
     /// The data epoch this query pinned: every read underneath saw
-    /// exactly the delta generation published as `epoch`. The serving
+    /// exactly the data-plane generation published as `epoch`. The serving
     /// layer keys its result cache by `(statement, epoch)` so an
     /// `INSERT` invalidates cached answers without a flush.
     pub epoch: u64,
@@ -162,12 +162,13 @@ pub struct CacheReport {
     /// The current data epoch: bumped by every published `INSERT` batch
     /// and every completed delta merge. 0 until the first insert.
     pub ingest_epoch: u64,
-    /// Delta reviews live in the current generation (level, not a
-    /// counter: a future delta GC could shrink it).
+    /// Inserted reviews live in the current generation (level, not a
+    /// counter: a future compaction could shrink it).
     pub delta_reviews: u64,
     /// Reviews accepted by `INSERT` statements since startup.
     pub inserted_reviews: u64,
-    /// Delta merges that published (froze posting blocks + partials).
+    /// Delta merges that published (sealed the overlay, froze the delta
+    /// text index).
     pub delta_merges: u64,
     /// Delta merges that failed and were rolled back — the previous
     /// epoch kept serving. The chaos-smoke CI job greps this.
@@ -662,16 +663,16 @@ impl OpineDb {
     /// `(rep, sentiment)` views of every raw extracted phrase of an
     /// entity/attribute (the scan path's input).
     pub fn raw_phrases(&self, entity: usize, attribute: usize) -> Vec<(&[f32], f64)> {
-        self.pinned().plane.entities[entity].occs[attribute]
-            .iter()
-            .map(|occ| {
-                (
-                    self.opinion_domains[attribute].variations()[occ.variation]
-                        .rep
-                        .as_slice(),
-                    occ.sentiment,
-                )
-            })
+        self.phrase_views(
+            &self.pinned().plane.entities[entity].occs[attribute],
+            attribute,
+        )
+    }
+
+    fn phrase_views(&self, occs: &[PhraseOcc], attribute: usize) -> Vec<(&[f32], f64)> {
+        let variations = self.opinion_domains[attribute].variations();
+        occs.iter()
+            .map(|occ| (variations[occ.variation].rep.as_slice(), occ.sentiment))
             .collect()
     }
 
@@ -696,7 +697,7 @@ impl OpineDb {
     /// the parse-once/execute-many entry the serving layer's prepared
     /// queries use.
     ///
-    /// The whole execution runs under one pinned delta generation
+    /// The whole execution runs under one pinned data-plane generation
     /// (installed thread-locally here, re-installed inside parallel
     /// workers): row scans see {frozen tables + that generation's
     /// overlay rows}, and every degree, count, and qualified summary
@@ -769,7 +770,7 @@ impl OpineDb {
 
     /// Executes with an explicit fuzzy algebra (ablation hook; joins are
     /// only supported under the default product algebra). Degrees and
-    /// counts observe one pinned delta generation like every other
+    /// counts observe one pinned generation like every other
     /// path, but this ablation entry does not append overlay rows —
     /// live-inserted reviews are invisible to its row scans.
     pub fn query_with_algebra(
@@ -817,8 +818,9 @@ impl OpineDb {
             }
         }
         let interp = self.interpret(predicate);
-        let degree = self.degree_for_interpretation(entity, predicate, &interp);
-        let reads_text = interp == Interpretation::TextFallback;
+        let prepared = self.prepare_interpretation(predicate, &interp);
+        let degree = self.degree_prepared(pin, entity, &prepared);
+        let reads_text = matches!(prepared, PreparedInterpretation::Text { .. });
         self.point_cache
             .insert(&key, (pin.epoch, degree, reads_text));
         degree
@@ -864,7 +866,7 @@ impl OpineDb {
                     .iter()
                     .map(|&entity| {
                         opine_faults::checkpoint();
-                        (entity, self.degree_prepared(entity, &prepared))
+                        (entity, self.degree_prepared(pin, entity, &prepared))
                     })
                     .collect();
                 let column = Arc::new(column.patched(&updates));
@@ -905,7 +907,7 @@ impl OpineDb {
             }
             _ => par::par_map(self.num_entities(), |entity| {
                 opine_faults::checkpoint();
-                self.degree_prepared(entity, &prepared)
+                self.degree_prepared(pin, entity, &prepared)
             }),
         };
         let column = Arc::new(DegreeColumn::new(degrees, reads_text));
@@ -1056,39 +1058,27 @@ impl OpineDb {
         }
     }
 
-    /// Degree of one entity under a prepared interpretation.
-    fn degree_prepared(&self, entity: usize, prepared: &PreparedInterpretation) -> f64 {
+    /// Degree of one entity under a prepared interpretation. The pin is
+    /// passed down rather than re-read per entity: a column build calls
+    /// this for every entity from several threads, and cloning the
+    /// pinned `Arc` each time makes them contend on its count.
+    fn degree_prepared(&self, pin: &Pin, entity: usize, prepared: &PreparedInterpretation) -> f64 {
         let algebra = FuzzyAlgebra::Product;
         match prepared {
             PreparedInterpretation::Direct { attribute, phrase } => {
-                self.attribute_degree_prepared(entity, *attribute, phrase)
+                self.attribute_degree_pinned(pin, entity, *attribute, phrase)
             }
             PreparedInterpretation::CoOccur { terms, conjunctive } => {
                 let degrees = terms
                     .iter()
-                    .map(|(a, p)| self.attribute_degree_prepared(entity, *a, p));
+                    .map(|(a, p)| self.attribute_degree_pinned(pin, entity, *a, p));
                 if *conjunctive {
                     degrees.fold(1.0, |acc, d| algebra.and(acc, d))
                 } else {
                     degrees.fold(0.0, |acc, d| algebra.or(acc, d))
                 }
             }
-            PreparedInterpretation::Text { terms } => {
-                let pin = self.pinned();
-                let mut score = self.entity_index.bm25(
-                    opine_ir::DocId(entity as u32),
-                    terms,
-                    &Bm25Params::default(),
-                );
-                if let Some(index) = Self::delta_text_index(&pin, self.num_entities()) {
-                    score += index.bm25(
-                        opine_ir::DocId(entity as u32),
-                        terms,
-                        &Bm25Params::default(),
-                    );
-                }
-                sigmoid(score - self.config.sigmoid_c)
-            }
+            PreparedInterpretation::Text { terms } => self.text_degree_pinned(pin, entity, terms),
         }
     }
 
@@ -1112,7 +1102,7 @@ impl OpineDb {
         interp: &Interpretation,
     ) -> f64 {
         let prepared = self.prepare_interpretation(predicate, interp);
-        self.degree_prepared(entity, &prepared)
+        self.degree_prepared(&self.pinned(), entity, &prepared)
     }
 
     /// Degree of truth of `attribute .= phrase` for an entity, via the
@@ -1130,7 +1120,16 @@ impl OpineDb {
         attribute: usize,
         phrase: &PreparedPhrase,
     ) -> f64 {
-        let pin = self.pinned();
+        self.attribute_degree_pinned(&self.pinned(), entity, attribute, phrase)
+    }
+
+    fn attribute_degree_pinned(
+        &self,
+        pin: &Pin,
+        entity: usize,
+        attribute: usize,
+        phrase: &PreparedPhrase,
+    ) -> f64 {
         let record = &pin.plane.entities[entity];
         // sync: ablation toggle; both branches are correct membership paths.
         if self.use_markers.load(std::sync::atomic::Ordering::Relaxed) {
@@ -1142,7 +1141,7 @@ impl OpineDb {
             );
             self.membership_markers.degree(&feats)
         } else {
-            let phrase_refs = self.raw_phrases(entity, attribute);
+            let phrase_refs = self.phrase_views(&record.occs[attribute], attribute);
             self.membership_scan
                 .degree(&scan_features(&phrase_refs, &phrase.rep, phrase.sentiment))
         }
@@ -1153,22 +1152,18 @@ impl OpineDb {
     /// has frozen it (near-real-time, Lucene-style: delta text becomes
     /// retrievable at the next merge, not the next epoch).
     pub fn text_degree(&self, entity: usize, predicate: &str) -> f64 {
-        let pin = self.pinned();
         let terms: Vec<_> = opine_text::tokenize(predicate)
             .iter()
             .filter_map(|t| self.vocab.get(t))
             .collect();
-        let mut score = self.entity_index.bm25(
-            opine_ir::DocId(entity as u32),
-            &terms,
-            &Bm25Params::default(),
-        );
-        if let Some(index) = Self::delta_text_index(&pin, self.num_entities()) {
-            score += index.bm25(
-                opine_ir::DocId(entity as u32),
-                &terms,
-                &Bm25Params::default(),
-            );
+        self.text_degree_pinned(&self.pinned(), entity, &terms)
+    }
+
+    fn text_degree_pinned(&self, pin: &Pin, entity: usize, terms: &[WordId]) -> f64 {
+        let doc = opine_ir::DocId(entity as u32);
+        let mut score = self.entity_index.bm25(doc, terms, &Bm25Params::default());
+        if let Some(index) = Self::delta_text_index(pin, self.num_entities()) {
+            score += index.bm25(doc, terms, &Bm25Params::default());
         }
         sigmoid(score - self.config.sigmoid_c)
     }
@@ -1524,8 +1519,8 @@ impl OpineDb {
             });
             let inserted_by_reviewer = next.reviewer_counts.entry(reviewer_id).or_insert(0);
             *inserted_by_reviewer += 1;
-            let degree = self.reviewer_counts.get(reviewer_id).copied().unwrap_or(0)
-                + *inserted_by_reviewer;
+            let degree =
+                self.reviewer_counts.get(reviewer_id).copied().unwrap_or(0) + *inserted_by_reviewer;
             next.unmerged_reviews += 1;
             let record = Arc::make_mut(&mut next.entities[row.entity]);
             record.reviews += 1;

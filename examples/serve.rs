@@ -11,8 +11,8 @@
 //! * `OPINE_WORKERS` — worker threads (default: 2× cores, clamped 2–16).
 //! * `OPINE_MAX_IN_FLIGHT` — admission budget: concurrent query
 //!   executions before arrivals are shed with 503 (default: workers/2).
-//! * `OPINE_MERGE_THRESHOLD` — unsealed delta reviews that trigger a
-//!   freeze-merge after an insert (default 64; see the README's
+//! * `OPINE_MERGE_THRESHOLD` — unmerged inserted reviews that trigger a
+//!   merge after an insert (default 64; see the README's
 //!   **Live ingest** section).
 //! * `OPINE_REQUEST_TIMEOUT_MS` — per-query execution deadline; scans
 //!   past it answer 504 (default 10000; `0` disables).

@@ -187,9 +187,7 @@ fn table5_table7_and_post_insert_quality_match_the_golden() {
     assert_golden("post-insert table7 no-markers", scan, POST_INSERT_TABLE7.1);
 }
 
-// Recorded before per-entity records replaced the delta segment's
-// separate summaries, occurrences and partials; the record-based data
-// plane reproduces every value bit for bit.
+// The golden. Re-record only as the module doc says.
 const TABLE5: [f64; 3] = [0.7067133400811876, 0.7760615413796946, 0.7986782428252277];
 const TABLE7: (f64, f64) = (0.7322484114829677, 0.7557237927083642);
 const POST_INSERT_TABLE5: [f64; 3] = [0.6937447246824948, 0.766960912054141, 0.7891971047670034];
