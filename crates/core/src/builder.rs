@@ -10,7 +10,7 @@ use crate::db::{OpineDb, PhraseOcc, ReviewMeta};
 use crate::domain::LinguisticDomain;
 use crate::interpret::{Interpreter, InterpreterConfig, ReviewDigest};
 use crate::membership::{marker_features, scan_features, MembershipModel};
-use crate::record::{build_records, reviewer_review_counts};
+use crate::record::build_records;
 use crate::summary::{AssignMode, MarkerSet, SummaryKind};
 use opine_corpus::spec::AspectKind;
 use opine_corpus::workload::build_workload;
@@ -187,7 +187,13 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
             helpful_votes: r.helpful_votes,
         })
         .collect();
-    let reviewer_counts = reviewer_review_counts(&review_meta);
+    // Reviews written per reviewer id: the degree the partials and the
+    // `reviewer_min_count` qualifiers compare against.
+    let max_reviewer = corpus.reviews.iter().map(|r| r.reviewer_id).max();
+    let mut reviewer_counts = vec![0u32; max_reviewer.map_or(0, |m| m + 1)];
+    for review in &corpus.reviews {
+        reviewer_counts[review.reviewer_id] += 1;
+    }
     let mut entity_occs: Vec<Vec<(usize, PhraseOcc)>> = vec![Vec::new(); corpus.entities.len()];
     let mut review_digest: ReviewDigest = Vec::with_capacity(corpus.reviews.len());
     for (review, extractions) in corpus.reviews.iter().zip(&review_extractions) {

@@ -127,16 +127,6 @@ pub(crate) fn build_records(
     records.into_iter().map(Arc::new).collect()
 }
 
-/// Reviews written per reviewer id, indexed by id.
-pub(crate) fn reviewer_review_counts(review_meta: &[ReviewMeta]) -> Vec<u32> {
-    let max_reviewer = review_meta.iter().map(|m| m.reviewer_id).max();
-    let mut counts = vec![0u32; max_reviewer.map_or(0, |m| m + 1)];
-    for meta in review_meta {
-        counts[meta.reviewer_id] += 1;
-    }
-    counts
-}
-
 /// Resolves one raw occurrence into its summary contribution — the one
 /// shared aggregation step of the records, the bucket-merge straddle
 /// refinement, and the raw rescan. Sharing it (and the fixed-point
@@ -222,7 +212,7 @@ enum BucketCut {
     Out,
     /// The threshold cuts through the bucket; the atom's exact-degree
     /// sub-partials resolve it.
-    Straddle,
+    Straddle(u32),
 }
 
 fn classify_bucket(bucket: u8, min_count: u32) -> BucketCut {
@@ -234,7 +224,7 @@ fn classify_bucket(bucket: u8, min_count: u32) -> BucketCut {
     } else if min_count > hi {
         BucketCut::Out
     } else {
-        BucketCut::Straddle
+        BucketCut::Straddle(min_count)
     }
 }
 
@@ -326,8 +316,7 @@ impl CellPartials {
                     }
                 }
                 BucketCut::Out => {}
-                BucketCut::Straddle => {
-                    let t = qualifier.min_reviewer_count.unwrap_or(0);
+                BucketCut::Straddle(t) => {
                     for s in atom.start..atom.end {
                         if self.degrees[s as usize] >= t {
                             self.merge_sub(s as usize, k, out);
