@@ -276,14 +276,15 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
         let attr = p.gold_aspect;
         marker_tuples.push((
             marker_features(
-                &records[e].summaries[attr],
+                &records[e].cells[attr].summary,
                 &interpreter.marker_sets()[attr],
                 &q_rep,
                 q_sent,
             ),
             label,
         ));
-        let phrase_refs: Vec<(&[f32], f64)> = records[e].occs[attr]
+        let phrase_refs: Vec<(&[f32], f64)> = records[e].cells[attr]
+            .occs
             .iter()
             .map(|occ| {
                 (

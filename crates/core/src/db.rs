@@ -505,7 +505,9 @@ impl OpineDb {
     /// The marker summary of an entity/attribute, over every review the
     /// pinned generation holds.
     pub fn summary(&self, entity: usize, attribute: usize) -> MarkerSummary {
-        self.pinned().plane.entities[entity].summaries[attribute].clone()
+        self.pinned().plane.entities[entity].cells[attribute]
+            .summary
+            .clone()
     }
 
     /// The vocabulary built over the corpus.
@@ -664,7 +666,7 @@ impl OpineDb {
     /// entity/attribute (the scan path's input).
     pub fn raw_phrases(&self, entity: usize, attribute: usize) -> Vec<(&[f32], f64)> {
         self.phrase_views(
-            &self.pinned().plane.entities[entity].occs[attribute],
+            &self.pinned().plane.entities[entity].cells[attribute].occs,
             attribute,
         )
     }
@@ -1130,18 +1132,18 @@ impl OpineDb {
         attribute: usize,
         phrase: &PreparedPhrase,
     ) -> f64 {
-        let record = &pin.plane.entities[entity];
+        let cell = &pin.plane.entities[entity].cells[attribute];
         // sync: ablation toggle; both branches are correct membership paths.
         if self.use_markers.load(std::sync::atomic::Ordering::Relaxed) {
             let feats = marker_features(
-                &record.summaries[attribute],
+                &cell.summary,
                 self.marker_set(attribute),
                 &phrase.rep,
                 phrase.sentiment,
             );
             self.membership_markers.degree(&feats)
         } else {
-            let phrase_refs = self.phrase_views(&record.occs[attribute], attribute);
+            let phrase_refs = self.phrase_views(&cell.occs, attribute);
             self.membership_scan
                 .degree(&scan_features(&phrase_refs, &phrase.rep, phrase.sentiment))
         }
@@ -1188,13 +1190,13 @@ impl OpineDb {
                 .iter()
                 .map(|record| {
                     record
-                        .occs
+                        .cells
                         .iter()
                         .enumerate()
-                        .map(|(attr, occs)| {
+                        .map(|(attr, cell)| {
                             let markers = self.marker_set(attr);
                             let mut out = MarkerSummary::empty(markers.markers.len());
-                            for occ in occs {
+                            for occ in &cell.occs {
                                 opine_faults::checkpoint();
                                 if !filter(&self.review_meta_at(&pin.plane, occ.review_id)) {
                                     continue;
@@ -1269,13 +1271,13 @@ impl OpineDb {
         par::par_map(self.num_entities(), |entity| {
             opine_faults::checkpoint();
             pin.plane.entities[entity]
-                .partials
+                .cells
                 .iter()
                 .enumerate()
                 .map(|(attr, cell)| {
                     let k = self.marker_set(attr).markers.len();
                     let mut out = MarkerSummary::empty(k);
-                    cell.merge_qualified(qualifier, k, &mut out);
+                    cell.partials.merge_qualified(qualifier, k, &mut out);
                     out
                 })
                 .collect()
@@ -2842,7 +2844,7 @@ mod tests {
         );
     }
     #[test]
-    fn a_batch_shares_every_untouched_entity_record_with_the_previous_generation() {
+    fn a_batch_shares_every_untouched_record_and_cell_with_the_previous_generation() {
         let _guard = ingest_lock();
         let (_, db) = db();
         db.set_merge_threshold(4);
@@ -2876,9 +2878,28 @@ mod tests {
                 "entity {entity}: only touched records are copied"
             );
         }
-        assert!(touched
-            .iter()
-            .all(|&e| after.entities[e].epoch == after.epoch()));
+        // Inside a touched record, only the cells of the attributes the
+        // review mentions are copied.
+        let mentioned: Vec<usize> = PhraseMatcher::build(&db.opinion_domains)
+            .extract(&format!("so {phrase}"))
+            .into_iter()
+            .map(|(attr, _)| attr)
+            .collect();
+        assert!(mentioned.contains(&0));
+        for &e in &touched {
+            assert_eq!(after.entities[e].epoch, after.epoch());
+            let cells = before.entities[e]
+                .cells
+                .iter()
+                .zip(&after.entities[e].cells);
+            for (attr, (old, new)) in cells.enumerate() {
+                assert_eq!(
+                    Arc::ptr_eq(old, new),
+                    !mentioned.contains(&attr),
+                    "entity {e} attribute {attr}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -10,14 +10,14 @@
 //! The **model plane stays frozen**: vocabulary, embeddings, sentiment,
 //! interpreter, membership functions, marker sets, and the entity set
 //! are fixed at build time. Because the entity set is frozen, the data
-//! plane is a vector of per-entity [`EntityRecord`]s (summaries, raw
-//! occurrences, `(year, reviewer degree)` partials, counts). A batch
-//! extracts phrase occurrences from each row by exact token matching
-//! against the frozen opinion domains, clones only the records it
-//! touches, folds the occurrences in through the same routine the build
-//! uses, and publishes one epoch. Untouched records are shared with the
-//! previous generation, so there is one read path for built and
-//! inserted reviews alike.
+//! plane is a vector of per-entity [`EntityRecord`]s (per attribute: a
+//! summary, raw occurrences, `(year, reviewer degree)` partials; plus
+//! counts). A batch extracts phrase occurrences from each row by exact
+//! token matching against the frozen opinion domains, clones only the
+//! records and attribute cells it touches, folds the occurrences in
+//! through the same routine the build uses, and publishes one epoch.
+//! Everything else is shared with the previous generation, and there
+//! is one read path for built and inserted reviews alike.
 //!
 //! Two artifacts sit beside the records. Inserted relational rows live
 //! in a [`TableOverlay`] the executor appends to the `reviews` table,

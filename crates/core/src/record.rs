@@ -6,11 +6,12 @@
 //! vector of `Arc<EntityRecord>` indexed by entity id (published through
 //! the ingest [`crate::snapshot::SnapshotCell`]; the build output is
 //! generation 0). An `INSERT` batch copies the vector of pointers, clones
-//! only the records it touches, and folds the new occurrences into them
-//! through [`EntityRecord::add_occ`] — the same routine the build fills
-//! every record with. Untouched records are shared between generations,
-//! so the cost of a batch does not depend on how many reviews came
-//! before it.
+//! only the records it touches — and in them only the attribute cells
+//! its reviews mention — and folds the new occurrences in through
+//! [`EntityRecord::add_occ`], the same routine the build fills every
+//! record with. Everything untouched is shared between generations, so
+//! the cost of a batch does not depend on how many reviews came before
+//! it.
 //!
 //! Every aggregate resolves an occurrence once ([`occ_contribution`])
 //! and accumulates it in fixed point (see `core::summary`), so the full
@@ -25,16 +26,13 @@ use opine_store::ReviewQualifier;
 use std::sync::Arc;
 
 /// One entity's data-plane state. Never mutated after publication: a
-/// writer clones the record (`Arc::make_mut`) and publishes the copy.
+/// writer clones the record and the cells it changes (`Arc::make_mut`)
+/// and publishes the copy.
 #[derive(Debug, Clone)]
 pub(crate) struct EntityRecord {
-    /// Marker summary per attribute, over every review of the entity.
-    pub summaries: Vec<MarkerSummary>,
-    /// Raw phrase occurrences per attribute, in arrival order: the
-    /// no-markers scan ablation and the qualifier rescan read these.
-    pub occs: Vec<Vec<PhraseOcc>>,
-    /// `(year, reviewer degree)` partial summaries per attribute.
-    pub partials: Vec<CellPartials>,
+    /// One cell per attribute. A review mentions a few attributes, so a
+    /// new version of the record shares the other cells.
+    pub cells: Vec<Arc<AttrCell>>,
     /// Reviews of the entity.
     pub reviews: u32,
     /// Epoch of the last published change to the record (0 = build).
@@ -46,16 +44,32 @@ pub(crate) struct EntityRecord {
     pub text: String,
 }
 
+/// What one `(entity, attribute)` aggregates.
+#[derive(Debug, Clone)]
+pub(crate) struct AttrCell {
+    /// Marker summary over every review of the entity.
+    pub summary: MarkerSummary,
+    /// Raw phrase occurrences in arrival order: the no-markers scan
+    /// ablation and the qualifier rescan read these.
+    pub occs: Vec<PhraseOcc>,
+    /// `(year, reviewer degree)` partial summaries.
+    pub partials: CellPartials,
+}
+
 impl EntityRecord {
     /// A record with no reviews over the given marker sets.
     pub fn empty(marker_sets: &[MarkerSet]) -> Self {
         EntityRecord {
-            summaries: marker_sets
+            cells: marker_sets
                 .iter()
-                .map(|set| MarkerSummary::empty(set.markers.len()))
+                .map(|set| {
+                    Arc::new(AttrCell {
+                        summary: MarkerSummary::empty(set.markers.len()),
+                        occs: Vec::new(),
+                        partials: CellPartials::default(),
+                    })
+                })
                 .collect(),
-            occs: vec![Vec::new(); marker_sets.len()],
-            partials: vec![CellPartials::default(); marker_sets.len()],
             reviews: 0,
             epoch: 0,
             text: String::new(),
@@ -79,9 +93,11 @@ impl EntityRecord {
         config: &BuildConfig,
     ) {
         let contribution = occ_contribution(domain, markers, config, &occ);
-        self.summaries[attr].apply(&contribution, true);
-        self.partials[attr].add(year, degree, markers.markers.len(), &contribution);
-        self.occs[attr].push(occ);
+        let cell = Arc::make_mut(&mut self.cells[attr]);
+        cell.summary.apply(&contribution, true);
+        cell.partials
+            .add(year, degree, markers.markers.len(), &contribution);
+        cell.occs.push(occ);
     }
 }
 
@@ -96,11 +112,11 @@ pub(crate) fn build_records(
     marker_sets: &[MarkerSet],
     config: &BuildConfig,
 ) -> Vec<Arc<EntityRecord>> {
-    // Every record's summaries are allocated first, in entity order, so
-    // the accumulators a degree column reads for consecutive entities
-    // lie close together (the fold below allocates occurrences,
-    // partials and provenance after them). Interleaving the two
-    // measurably slowed cold degree-column builds.
+    // Every record's cells and summaries are allocated first, in entity
+    // order, so the accumulators a degree column reads for consecutive
+    // entities lie close together (the fold below allocates
+    // occurrences, partials and provenance after them). Interleaving
+    // the two measurably slowed cold degree-column builds.
     let mut records: Vec<EntityRecord> = entity_occs
         .iter()
         .map(|_| EntityRecord::empty(marker_sets))
